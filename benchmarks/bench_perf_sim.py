@@ -19,14 +19,10 @@ Two further sections measure the PR-3 performance layer:
   :class:`MetricsCollector`: identical counters, p95 TTFT within
   tolerance, and the streaming run retaining no per-turn records.
 
-The **scheduler** section microbenchmarks the calendar-queue simulation
-core against the legacy heap — now also the default production core via
-``Simulator(core="auto")`` — (push/pop and cancel throughput on the bare
-queues; batched vs legacy dispatch on unique-timestamp,
-shared-timestamp and self-scheduling-chain patterns), and **profile**
-writes one :class:`EventLoopProfiler` report of a gate-size replay to
-``BENCH_profile.txt`` for CI to upload as an artifact, plus the
-top-callback *shares* so the continuation refactor's profile shape
+The **profile** section writes one :class:`EventLoopProfiler` report of
+a gate-size replay to ``BENCH_profile.txt`` for CI to upload as an
+artifact, plus the top-callback *shares* so the continuation refactor's
+profile shape
 (slotted continuation classes instead of ``_after_epoch.<locals>.fire``
 closures at 77% of estimated cost) is asserted per-commit.
 
@@ -69,7 +65,6 @@ from repro.hardware.perf import PerfModel
 from repro.models import ModelSpec, get_model
 from repro.obs import EventLoopProfiler
 from repro.runner import SweepPoint, run_sweep, unwrap
-from repro.sim import EventQueue, LegacyEventQueue, Simulator
 from repro.workload import Trace, WorkloadSpec, generate_trace, stream_trace
 
 import repro.engine.engine as engine_module
@@ -78,8 +73,6 @@ MODEL_NAME = "llama-13b"
 BENCH_SESSIONS = int(os.environ.get("REPRO_PERF_SESSIONS", "1200"))
 REPLAY_ROUNDS = 3
 MICRO_CALLS = 100_000
-SCHED_EVENTS = 200_000
-SCHED_ROUNDS = 3
 PROFILE_OUT = os.environ.get(
     "REPRO_PROFILE_OUT",
     os.path.join(os.path.dirname(__file__), "..", "BENCH_profile.txt"),
@@ -385,93 +378,6 @@ def trace_modes_benchmark() -> dict:
     }
 
 
-def _noop() -> None:
-    pass
-
-
-def _dispatch_pattern(mode: str, legacy: bool, n: int) -> float:
-    """Events/s for one dispatch pattern on one simulation core.
-
-    ``unique``: pre-scheduled events, every timestamp distinct (worst case
-    for batching, every far-future event transits the overflow heap).
-    ``shared8``: pre-scheduled, eight events per timestamp (the batched
-    loop advances the clock and re-reads hooks once per eight events).
-    ``steady``: one self-scheduling chain, queue length one (the pattern
-    that collapses naive calendar-queue width heuristics).
-    """
-    sim = Simulator(legacy_core=legacy)
-    if mode == "unique":
-        for i in range(n):
-            sim.at(i * 0.001, _noop)
-    elif mode == "shared8":
-        for i in range(n):
-            sim.at((i // 8) * 0.001, _noop)
-    else:  # steady
-        state = [n]
-
-        def chain() -> None:
-            state[0] -= 1
-            if state[0] > 0:
-                sim.after(0.001, chain)
-
-        sim.after(0.001, chain)
-    start = time.perf_counter()
-    sim.run()
-    return n / (time.perf_counter() - start)
-
-
-def scheduler_microbench() -> dict:
-    """Calendar queue vs legacy heap: raw ops and end-to-end dispatch.
-
-    Best-of-``SCHED_ROUNDS`` events/s for push+pop pairs and for mass
-    cancellation on the bare queues, then for full ``Simulator.run``
-    drains (batched loop + calendar queue vs legacy loop + heap) on the
-    three canonical patterns.  These are *pathology guards* more than
-    races: the structures are within small factors of each other on
-    every pattern, and the asserts in :func:`test_perf_sim` hold each
-    ratio above the cliff line (a bad width heuristic made ``steady``
-    18x slower than the heap during development — exactly what this
-    section exists to catch).
-    """
-    n = SCHED_EVENTS
-
-    def push_pop(queue_cls) -> float:
-        q = queue_cls()
-        start = time.perf_counter()
-        for i in range(n):
-            q.push((i % 64) * 0.25, _noop)
-        while q:
-            q.pop()
-        return n / (time.perf_counter() - start)
-
-    def cancel(queue_cls) -> float:
-        q = queue_cls()
-        events = [q.push(float(i), _noop) for i in range(n)]
-        start = time.perf_counter()
-        for event in events:
-            event.cancel()
-        return n / (time.perf_counter() - start)
-
-    out: dict = {"events": n, "rounds": SCHED_ROUNDS}
-    for label, cls in (("calendar", EventQueue), ("legacy_heap", LegacyEventQueue)):
-        out[label] = {
-            "push_pop_events_per_s": round(
-                max(push_pop(cls) for _ in range(SCHED_ROUNDS))
-            ),
-            "cancel_per_s": round(max(cancel(cls) for _ in range(SCHED_ROUNDS))),
-        }
-    for mode in ("unique", "shared8", "steady"):
-        out[f"dispatch_{mode}"] = {
-            "batched_events_per_s": round(
-                max(_dispatch_pattern(mode, False, n) for _ in range(SCHED_ROUNDS))
-            ),
-            "legacy_events_per_s": round(
-                max(_dispatch_pattern(mode, True, n) for _ in range(SCHED_ROUNDS))
-            ),
-        }
-    return out
-
-
 def profile_section() -> dict:
     """One profiled gate-size replay; full table written to PROFILE_OUT.
 
@@ -591,7 +497,6 @@ def run_harness() -> dict:
             "unmemoized_s": round(prefill_uncached, 4),
             "speedup": round(prefill_uncached / prefill_cached, 2),
         },
-        "scheduler": scheduler_microbench(),
         "profile": profile_section(),
         "sweep": sweep_benchmark(),
         "metrics_modes": metrics_modes_benchmark(),
@@ -638,24 +543,6 @@ def test_perf_sim():
     assert payload["layerwise_prefill_time"]["speedup"] > 2.0
     assert payload["perfmodel_prefill_time"]["speedup"] > 1.2
     assert payload["replay"]["speedup"] > 0.85
-    # Scheduler pathology guards: the calendar queue trades a small
-    # constant factor on heap-friendly patterns for same-timestamp
-    # batching and bounded lazy deletion; what must never regress is a
-    # *cliff* (a width-heuristic bug once made `steady` 18x slower than
-    # the heap).  Floors are generous fractions, not photo finishes.
-    sched = payload["scheduler"]
-    for mode, floor in (("unique", 0.35), ("shared8", 0.6), ("steady", 0.35)):
-        section = sched[f"dispatch_{mode}"]
-        ratio = section["batched_events_per_s"] / section["legacy_events_per_s"]
-        assert ratio >= floor, (mode, section)
-    assert (
-        sched["calendar"]["push_pop_events_per_s"]
-        >= 0.3 * sched["legacy_heap"]["push_pop_events_per_s"]
-    ), sched
-    assert (
-        sched["calendar"]["cancel_per_s"]
-        >= 0.2 * sched["legacy_heap"]["cancel_per_s"]
-    ), sched
     assert os.path.exists(PROFILE_OUT)
     # Parallel sweeps must change wall-clock only, never results.
     sweep = payload["sweep"]

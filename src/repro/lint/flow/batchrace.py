@@ -1,13 +1,13 @@
 """Same-timestamp batch-race detection over event-handler effect sets.
 
-``Simulator.collect_batch`` dispatches all events sharing a timestamp as
-one batch; two handlers in the same batch whose effect sets conflict
-(one writes an engine/store attribute the other reads or writes) make
-the intra-batch order observable, which is exactly what the determinism
-contract forbids relying on.  This pass expands each handler class's
-``__call__`` effects through resolved calls (``self.engine.m()`` pulls
-in the engine method's own ``self``-effects, rebased onto ``engine.``)
-and flags conflicting pairs.  Effects are approximate by construction —
+``Simulator.run`` fires events sharing a timestamp in ``seq``
+(scheduling) order, straight from its heap; two handlers that can fire
+at the same time whose effect sets conflict (one writes an engine/store
+attribute the other reads or writes) make that tie order observable,
+which is exactly what the determinism contract forbids relying on.  This
+pass expands each handler class's ``__call__`` effects through resolved
+calls (``self.engine.m()`` pulls in the engine method's own
+``self``-effects, rebased onto ``engine.``) and flags conflicting pairs.  Effects are approximate by construction —
 attribute paths are truncated and dynamic dispatch is unresolved — so
 findings here are review prompts, baselined once reviewed.
 """

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..analysis.report import format_table
 
 if TYPE_CHECKING:
-    from ..sim.events import Event
     from ..sim.loop import Simulator
 
 
@@ -101,13 +100,12 @@ class EventLoopProfiler:
         sim.profiler = self
         self._wall_start = time.perf_counter()  # repro-lint: allow=wall-clock (host-side profiling only; never enters simulated state)
 
-    def run_event(self, event: "Event") -> None:
-        """Dispatch one event, counting it and occasionally timing it.
+    def run_event(self, callback: Callable[[], None]) -> None:
+        """Run one event's callback, counting it and occasionally timing it.
 
         The callback runs exactly once either way; only the bookkeeping
         around it differs, so simulated state is untouched.
         """
-        callback = event.callback
         name = getattr(callback, "__qualname__", None) or type(callback).__name__
         self._counts[name] = self._counts.get(name, 0) + 1
         self._n_events += 1

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 if TYPE_CHECKING:
     from .cluster.engine import ClusterEngine
     from .engine.engine import ServingEngine
-    from .sim.events import Event
     from .sim.loop import Simulator
     from .store.attention_store import AttentionStore
 
@@ -180,17 +179,17 @@ class SimSanitizer:
         orig_at = sim.at
         orig_after = sim.after
 
-        def checked_at(time: float, callback: Callable[[], None]) -> Event:
+        def checked_at(time: float, callback: Callable[[], None]) -> None:
             if time < sim.now:
                 raise SimSanError(
                     f"event scheduled in the past: t={time} < now={sim.now}"
                 )
-            return orig_at(time, callback)
+            orig_at(time, callback)
 
-        def checked_after(delay: float, callback: Callable[[], None]) -> Event:
+        def checked_after(delay: float, callback: Callable[[], None]) -> None:
             if delay < 0:
                 raise SimSanError(f"event scheduled with negative delay {delay}")
-            return orig_after(delay, callback)
+            orig_after(delay, callback)
 
         # Instance-level shadowing: the class stays untouched, so other
         # simulators in the process run unsanitized.
@@ -209,13 +208,13 @@ class SimSanitizer:
         self._installed = False
         _active_sanitizers -= 1
 
-    def _on_event(self, event: Event) -> None:
-        if event.time < self._last_event_time:
+    def _on_event(self, time: float) -> None:
+        if time < self._last_event_time:
             raise SimSanError(
-                f"event clock went backwards: {event.time} after "
+                f"event clock went backwards: {time} after "
                 f"{self._last_event_time}"
             )
-        self._last_event_time = event.time
+        self._last_event_time = time
         self._events_seen += 1
         stride_due = self._events_seen % self.event_stride == 0
         self.run_checks(include_stride=stride_due)

@@ -2,17 +2,13 @@
 
 from .channel import Channel, ChannelFaultHook, ChannelPair, FaultyTransfer
 from .clock import SimClock
-from .events import Event, EventQueue, LegacyEventQueue
 from .loop import Simulator
 
 __all__ = [
     "Channel",
     "ChannelFaultHook",
     "ChannelPair",
-    "Event",
-    "EventQueue",
     "FaultyTransfer",
-    "LegacyEventQueue",
     "SimClock",
     "Simulator",
 ]

@@ -1,95 +1,44 @@
 """The discrete-event simulation loop.
 
-``Simulator.run`` dispatches in *timestamp batches*: one
-``collect_batch`` call settles the queue head and drains every event
-sharing that timestamp, the clock advances once per unique time, and
-the ``profiler``/``event_hook`` attribute checks are hoisted out of the
-per-event inner loop into a pre-selected dispatch branch.  Events the
-loop can prove are externally unreferenced are recycled onto the
-queue's free list instead of being left to the allocator.
-
-Two queue cores implement the batched-dispatch surface, selected by the
-``core`` argument (both pop in exactly ascending (time, seq) order, so
-the choice can never change simulation results — only wall-clock):
-
-* ``"heap"`` — the binary heap.  Fastest on the dispatch-dominated
-  shapes engine replays produce: mostly-unique timestamps, push/pop
-  churn, a few hundred pending events (the scheduler microbenchmarks
-  in BENCH_sim.json have it ahead on ``push_pop``, ``dispatch_unique``
-  and ``dispatch_steady``).
-* ``"calendar"`` — the calendar queue (DESIGN.md §12).  Its edge is
-  *bounded memory under cancel-heavy loads*: it compacts stale entries
-  when they outnumber live ones, where the heap retains every cancelled
-  entry until its timestamp is reached (raw cancel marking is actually
-  faster on the heap — it skips the compaction bookkeeping).  Huge
-  same-timestamp groups also amortise its bucket promotion.
-
-``"auto"`` (the default) resolves to the heap: the engine never cancels
-events — crash invalidation uses epoch guards precisely because
-continuations *can't* be unscheduled — and replay timestamps are almost
-all unique, which is the heap's best case and the calendar queue's
-worst.  Workloads built directly on the simulator that cancel far-future
-events en masse should pass ``core="calendar"`` to keep queue memory
-proportional to the live set.
-
-``Simulator(legacy_core=True)`` runs the original one-event-at-a-time
-loop on the heap queue — the oracle side of the old-vs-new bit-identity
-tests and the baseline for the dispatch microbenchmarks.
+Pending events live in one binary heap of ``(time, seq, callback)``
+tuples.  ``seq`` is a per-simulator counter, so events at the same time
+fire in the order they were scheduled, every run is reproducible, and
+the callback itself is never compared.  A scheduled event always fires:
+a component that must invalidate a pending continuation bumps an epoch
+the continuation checks when it fires (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
 import gc
-from sys import getrefcount
+from heapq import heappop, heappush
+from itertools import count
+from math import inf
 from typing import TYPE_CHECKING, Callable
 
 from .clock import SimClock
-from .events import _FREE_LIST_CAP, Event, EventQueue, LegacyEventQueue
 
 if TYPE_CHECKING:
     from ..obs.profile import EventLoopProfiler
 
-# While the dispatch loop runs an event, exactly three references to it
-# exist when no component kept a handle: the batch buffer, the loop
-# variable, and getrefcount's own argument (the queue entry's slot was
-# nulled by collect_batch).  A count above the baseline means someone
-# may still cancel() or inspect the event, so it must not be recycled.
-_RECYCLE_BASELINE_REFS = 3
-
 
 class Simulator:
-    """Couples a :class:`SimClock` with an :class:`EventQueue`.
+    """Couples a :class:`SimClock` with a time-ordered event heap.
 
     Components schedule work with :meth:`at` (absolute time) or :meth:`after`
-    (relative delay); :meth:`run` drains the queue in time order.
+    (relative delay); :meth:`run` drains the heap in ``(time, seq)`` order.
     """
 
-    def __init__(
-        self,
-        start: float = 0.0,
-        *,
-        legacy_core: bool = False,
-        core: str = "auto",
-    ) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self.clock = SimClock(start)
-        self._legacy_core = legacy_core
-        if core not in ("auto", "heap", "calendar"):
-            raise ValueError(
-                f"core must be 'auto', 'heap' or 'calendar', got {core!r}"
-            )
-        # "auto" resolves to the heap (see module docstring: no consumer
-        # cancels events, and replay dispatch shapes favour it); the
-        # calendar queue remains one flag away for cancel-heavy use.
-        self._queue: EventQueue | LegacyEventQueue = (
-            EventQueue() if core == "calendar" and not legacy_core else LegacyEventQueue()
-        )
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._seq = count()
         self._events_processed = 0
-        # Observation point for sanitizers (repro.sanitize): called after
-        # each executed event.  Re-read once per timestamp batch.
-        self.event_hook: Callable[[Event], None] | None = None
+        # Observation point for sanitizers (repro.sanitize): called with
+        # the event's time after each executed event.
+        self.event_hook: Callable[[float], None] | None = None
         # Optional host-side profiler (repro.obs.profile): when set, it
-        # dispatches each event (counting/timing around the same single
-        # callback invocation).  Re-read once per timestamp batch.
+        # invokes each callback (counting/timing around the single call).
         self.profiler: "EventLoopProfiler | None" = None
 
     @property
@@ -100,29 +49,44 @@ class Simulator:
     def events_processed(self) -> int:
         return self._events_processed
 
-    def at(self, time: float, callback: Callable[[], None]) -> Event:
+    def at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute simulated time ``time``."""
-        if time < self.clock._now:
-            raise ValueError(
-                f"cannot schedule in the past: {time} < now {self.now}"
-            )
-        return self._queue.push(time, callback)
+        # One chained comparison rejects the past, inf and NaN alike.
+        if not self.clock._now <= time < inf:
+            if time < self.clock._now:
+                raise ValueError(
+                    f"cannot schedule in the past: {time} < now {self.now}"
+                )
+            raise ValueError(f"event time must be finite, got {time}")
+        heappush(self._heap, (time, next(self._seq), callback))
 
-    def after(self, delay: float, callback: Callable[[], None]) -> Event:
+    def after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after ``delay`` seconds."""
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        return self._queue.push(self.clock._now + delay, callback)
+        if not 0.0 <= delay < inf:
+            raise ValueError(f"delay must be finite and >= 0, got {delay}")
+        heappush(self._heap, (self.clock._now + delay, next(self._seq), callback))
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Process events in order.
+        """Process events in ``(time, seq)`` order.
 
         Args:
             until: stop once the next event is later than this time (the
-                clock is left at ``until``).  ``None`` drains the queue.
+                clock is left at ``until``).  ``None`` drains the heap.
             max_events: safety valve; raise *before* running an event that
                 would push the lifetime count past this limit.
+
+        A raising callback is consumed; the events after it stay queued,
+        so the run can resume.  ``profiler`` and ``event_hook`` are read
+        once per call.
         """
+        heap = self._heap
+        clock = self.clock
+        profiler = self.profiler
+        hook = self.event_hook
+        limit = inf if until is None else until
+        cap = inf if max_events is None else max_events
+        processed = self._events_processed
+        last_time = clock._now
         # Pause cyclic GC for the drain: event dispatch allocates closures
         # and records at a rate that keeps generation-0 collections firing
         # constantly, yet almost everything dies by refcount.  Cycles
@@ -133,120 +97,26 @@ class Simulator:
         if was_enabled:
             gc.disable()
         try:
-            if self._legacy_core:
-                self._run_legacy(until, max_events)
-            else:
-                self._run_batched(until, max_events)
-        finally:
-            if was_enabled:
-                gc.enable()
-
-    def _run_batched(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> None:
-        """The batched fast path: one collect per unique timestamp."""
-        queue = self._queue
-        clock = self.clock
-        free = queue._free
-        collect_batch = queue.collect_batch
-        advance_to = clock.advance_to
-        buf: list[Event] = []
-        processed = self._events_processed
-        last_time = clock._now
-        try:
-            while True:
-                if max_events is not None and processed >= max_events:
-                    head = queue.peek_time()
-                    if head is not None and (until is None or head <= until):
-                        raise RuntimeError(
-                            f"simulation exceeded {max_events} events; "
-                            "likely a scheduling loop"
-                        )
-                    break
-                del buf[:]
-                cap = None if max_events is None else max_events - processed
-                t0 = collect_batch(buf, until, cap)
-                if t0 is None:
-                    break
-                if t0 > last_time:
-                    advance_to(t0)
-                    last_time = t0
-                # Select the dispatch branch once per batch: the common
-                # unobserved case runs a bare inner loop with no
-                # attribute checks per event.
-                profiler = self.profiler
-                hook = self.event_hook
-                i = 0
-                try:
-                    if profiler is None and hook is None:
-                        for event in buf:
-                            # i counts events the legacy loop would have
-                            # consumed: a raising callback consumed its
-                            # event (it was popped), so i moves *before*
-                            # the call and buf[i:] is exactly the
-                            # not-yet-dispatched tail.
-                            i += 1
-                            # An earlier event in this batch may have
-                            # cancelled a later one; the legacy loop
-                            # would have skipped it at pop time.
-                            if event.cancelled:
-                                continue
-                            event.callback()
-                            processed += 1
-                            if (
-                                getrefcount(event) == _RECYCLE_BASELINE_REFS
-                                and len(free) < _FREE_LIST_CAP
-                            ):
-                                free.append(event)
-                    else:
-                        for event in buf:
-                            i += 1
-                            if event.cancelled:
-                                continue
-                            if profiler is not None:
-                                profiler.run_event(event)
-                            else:
-                                event.callback()
-                            processed += 1
-                            if hook is not None:
-                                hook(event)
-                except BaseException:
-                    # Restore the un-dispatched remainder so an aborted
-                    # run leaves the queue exactly as the legacy
-                    # one-event-at-a-time loop would have.
-                    if i < len(buf):
-                        queue.requeue_front(buf[i:])
-                    raise
+            while heap and heap[0][0] <= limit:
+                if processed >= cap:
+                    raise RuntimeError(
+                        f"simulation exceeded {max_events} events; "
+                        "likely a scheduling loop"
+                    )
+                time, _, callback = heappop(heap)
+                if time > last_time:
+                    clock.advance_to(time)
+                    last_time = time
+                if profiler is None:
+                    callback()
+                else:
+                    profiler.run_event(callback)
+                processed += 1
+                if hook is not None:
+                    hook(time)
         finally:
             self._events_processed = processed
+            if was_enabled:
+                gc.enable()
         if until is not None and until > clock._now:
             clock.advance_to(until)
-
-    def _run_legacy(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> None:
-        """The original dispatch loop: peek, pop and advance per event."""
-        while True:
-            next_time = self._queue.peek_time()
-            if next_time is None:
-                if until is not None and until > self.now:
-                    self.clock.advance_to(until)
-                return
-            if until is not None and next_time > until:
-                self.clock.advance_to(until)
-                return
-            if max_events is not None and self._events_processed >= max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events; "
-                    "likely a scheduling loop"
-                )
-            event = self._queue.pop()
-            assert event is not None
-            self.clock.advance_to(event.time)
-            if self.profiler is None:
-                event.callback()
-            else:
-                self.profiler.run_event(event)
-            self._events_processed += 1
-            if self.event_hook is not None:
-                self.event_hook(event)

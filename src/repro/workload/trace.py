@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import inf
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -40,8 +41,10 @@ class Turn:
             raise ValueError(f"q_tokens must be positive, got {self.q_tokens}")
         if self.a_tokens <= 0:
             raise ValueError(f"a_tokens must be positive, got {self.a_tokens}")
-        if self.think_time < 0:
-            raise ValueError(f"think_time must be >= 0, got {self.think_time}")
+        if not 0.0 <= self.think_time < inf:
+            raise ValueError(
+                f"think_time must be finite and >= 0, got {self.think_time}"
+            )
 
     @property
     def total_tokens(self) -> int:
@@ -72,8 +75,10 @@ class Conversation:
     shared_prefix_tokens: int = 0
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
+        if not 0.0 <= self.arrival_time < inf:
+            raise ValueError(
+                f"arrival_time must be finite and >= 0, got {self.arrival_time}"
+            )
         if not self.turns:
             raise ValueError("a conversation needs at least one turn")
         if self.shared_prefix_id < 0:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Channel, ChannelPair, EventQueue, SimClock, Simulator
+from repro.sim import Channel, ChannelPair, SimClock, Simulator
 
 
 class TestSimClock:
@@ -31,164 +31,38 @@ class TestSimClock:
 
 
 class TestEventQueue:
+    """The simulator's event heap: ``(time, seq)`` order."""
+
     def test_orders_by_time(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        q.push(2.0, lambda: fired.append("b"))
-        q.push(1.0, lambda: fired.append("a"))
-        while q:
-            event = q.pop()
-            event.callback()
+        sim.at(2.0, lambda: fired.append("b"))
+        sim.at(1.0, lambda: fired.append("a"))
+        sim.run()
         assert fired == ["a", "b"]
 
     def test_ties_broken_by_insertion(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        q.push(1.0, lambda: fired.append(1))
-        q.push(1.0, lambda: fired.append(2))
-        q.pop().callback()
-        q.pop().callback()
-        assert fired == [1, 2]
-
-    def test_cancellation(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        event.cancel()
-        assert q.pop() is None
-        assert len(q) == 0
-
-    def test_peek_skips_cancelled(self):
-        q = EventQueue()
-        first = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        first.cancel()
-        assert q.peek_time() == 2.0
+        sim.at(1.0, lambda: fired.append(1))
+        sim.after(1.0, lambda: fired.append(2))
+        sim.at(1.0, lambda: fired.append(3))
+        sim.run()
+        assert fired == [1, 2, 3]
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            EventQueue().push(-1.0, lambda: None)
+            Simulator().at(-1.0, lambda: None)
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
     def test_pop_order_is_sorted(self, times):
-        q = EventQueue()
-        for t in times:
-            q.push(t, lambda: None)
+        sim = Simulator()
         popped = []
-        while q:
-            popped.append(q.pop().time)
-        assert popped == sorted(times)
-
-
-class TestEventQueueLiveCounter:
-    """``__len__``/``__bool__`` come from a live-event counter maintained
-    on push/pop/cancel; these interleavings pin down the bookkeeping that
-    lazy deletion makes easy to get wrong (cancelled events linger in the
-    heap, and ``peek_time`` discards them as a side effect)."""
-
-    def test_cancel_then_peek_then_len(self):
-        q = EventQueue()
-        first = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        first.cancel()
-        assert len(q) == 1
-        # peek_time pops the cancelled heap top; the counter already
-        # accounted for it at cancel time and must not move again.
-        assert q.peek_time() == 2.0
-        assert len(q) == 1
-        assert bool(q)
-
-    def test_peek_then_cancel_then_len(self):
-        q = EventQueue()
-        first = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        assert q.peek_time() == 1.0
-        first.cancel()
-        assert len(q) == 1
-        assert q.peek_time() == 2.0
-
-    def test_double_cancel_decrements_once(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert len(q) == 1
-
-    def test_cancel_after_pop_does_not_underflow(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        assert q.pop() is event
-        # The event left the queue when popped; a late cancel is a no-op
-        # on the counter.
-        event.cancel()
-        assert len(q) == 1
-        assert q.pop() is not None
-        assert len(q) == 0
-        assert not q
-
-    def test_cancel_all_then_peek_empties(self):
-        q = EventQueue()
-        events = [q.push(float(i), lambda: None) for i in range(5)]
-        for event in events:
-            event.cancel()
-        assert len(q) == 0
-        assert not q
-        assert q.peek_time() is None
-        assert q.pop() is None
-        assert len(q) == 0
-
-    def test_interleaved_cancel_peek_pop_matches_count(self):
-        q = EventQueue()
-        events = [q.push(float(i), lambda: None) for i in range(10)]
-        for event in events[::2]:
-            event.cancel()
-        assert len(q) == 5
-        assert q.peek_time() == 1.0
-        assert len(q) == 5
-        popped = []
-        while q:
-            popped.append(q.pop().time)
-        assert popped == [1.0, 3.0, 5.0, 7.0, 9.0]
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["push", "pop", "peek", "cancel"]),
-                st.floats(min_value=0, max_value=100),
-            ),
-            max_size=80,
-        )
-    )
-    def test_len_matches_reference_model(self, ops):
-        """Counter-based len always equals the number of live events."""
-        q = EventQueue()
-        live: list = []  # reference: events pushed, not popped/cancelled
-        pushed: list = []
-        for op, t in ops:
-            if op == "push":
-                pushed.append(q.push(t, lambda: None))
-                live.append(pushed[-1])
-            elif op == "pop":
-                was_empty = not live
-                event = q.pop()
-                assert (event is None) == was_empty
-                if event is not None:
-                    assert event is min(live, key=lambda e: (e.time, e.seq))
-                    live.remove(event)
-            elif op == "peek":
-                time = q.peek_time()
-                if live:
-                    assert time == min(e.time for e in live)
-                else:
-                    assert time is None
-            elif op == "cancel" and pushed:
-                victim = pushed[int(t) % len(pushed)]
-                victim.cancel()
-                if victim in live:
-                    live.remove(victim)
-            assert len(q) == len(live)
-            assert bool(q) == bool(live)
+        for i, t in enumerate(times):
+            sim.at(t, lambda i=i: popped.append((sim.now, i)))
+        sim.run()
+        # Sorted by time, ties in scheduling order.
+        assert popped == sorted((t, i) for i, t in enumerate(times))
 
 
 class TestSimulator:
@@ -236,6 +110,17 @@ class TestSimulator:
         with pytest.raises(ValueError, match="past"):
             sim.at(1.0, lambda: None)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_rejects_non_finite_time(self, time):
+        sim = Simulator()
+        with pytest.raises(ValueError, match=str(time)):
+            sim.at(time, lambda: None)
+        with pytest.raises(ValueError, match=str(time)):
+            sim.after(time, lambda: None)
+        # Nothing was queued: the run returns at once.
+        sim.run(max_events=0)
+        assert sim.events_processed == 0
+
     def test_max_events_guard(self):
         sim = Simulator()
 
@@ -252,6 +137,93 @@ class TestSimulator:
             sim.at(float(i), lambda: None)
         sim.run()
         assert sim.events_processed == 5
+
+    def test_ties_fire_in_insertion_order(self):
+        """Same-time events scheduled from inside a callback queue behind
+        the ones already pending at that time."""
+        sim = Simulator()
+        fired = []
+
+        def first():
+            fired.append("first")
+            sim.after(0.0, lambda: fired.append("nested"))
+
+        sim.at(1.0, first)
+        sim.at(1.0, lambda: fired.append("second"))
+        sim.run()
+        assert fired == ["first", "second", "nested"]
+
+    def test_advance_to_called_once_per_unique_timestamp(self):
+        """The clock moves once per timestamp, not once per event."""
+        sim = Simulator()
+
+        class CountingClock:
+            def __init__(self, inner):
+                self._inner = inner
+                self.calls = 0
+
+            @property
+            def _now(self):
+                return self._inner._now
+
+            @property
+            def now(self):
+                return self._inner.now
+
+            def advance_to(self, time):
+                self.calls += 1
+                self._inner.advance_to(time)
+
+        fired = []
+        for t in (0.0, 0.0, 1.0, 1.0, 1.0, 2.0):
+            sim.at(t, lambda t=t: fired.append(t))
+        counting = CountingClock(sim.clock)
+        sim.clock = counting
+        sim.run()
+        assert fired == [0.0, 0.0, 1.0, 1.0, 1.0, 2.0]
+        # t=0.0 needs no advance (the clock starts there); 1.0 and 2.0
+        # take one call each however many events share them.
+        assert counting.calls == 2
+
+    def test_raising_callback_is_consumed_and_run_resumes(self):
+        """The raising event is consumed, later same-time events stay
+        queued and the run can resume."""
+        sim = Simulator()
+        seen = []
+
+        def boom():
+            seen.append("boom")
+            raise RuntimeError("kaboom")
+
+        sim.at(1.0, lambda: seen.append("a"))
+        sim.at(1.0, boom)
+        sim.at(1.0, lambda: seen.append("b"))
+        with pytest.raises(RuntimeError, match="kaboom"):
+            sim.run()
+        assert seen == ["a", "boom"]
+        assert sim.events_processed == 1
+        sim.run()
+        assert seen == ["a", "boom", "b"]
+        assert sim.events_processed == 2
+
+    def test_max_events_splits_a_same_time_group(self):
+        """``max_events`` raises before the event that would exceed it,
+        even partway through events sharing one timestamp."""
+        sim = Simulator()
+        fired = []
+        for i in range(5):
+            sim.at(1.0, lambda i=i: fired.append(i))
+        with pytest.raises(RuntimeError, match="exceeded 3 events"):
+            sim.run(max_events=3)
+        assert fired == [0, 1, 2]
+        assert sim.events_processed == 3
+        sim.run()
+        assert fired == [0, 1, 2, 3, 4]
+
+    def test_run_until_with_empty_queue_advances_clock(self):
+        sim = Simulator()
+        sim.run(until=7.5)
+        assert sim.now == 7.5
 
 
 class TestChannel:

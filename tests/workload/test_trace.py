@@ -90,6 +90,22 @@ class TestTrace:
         payload = json.loads(Trace(conversations=[conv(0)]).to_json())
         assert "conversations" in payload
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValueError, match=f"think_time .* got {bad}"):
+            Turn(5, 5, bad)
+        with pytest.raises(ValueError, match=f"arrival_time .* got {bad}"):
+            conv(arrival=bad)
+        # json.dumps writes NaN/Infinity and json.loads reads them back.
+        good = json.loads(Trace(conversations=[conv(0)]).to_json())
+        good["conversations"][0]["arrival_time"] = bad
+        with pytest.raises(ValueError, match="arrival_time"):
+            Trace.from_json(json.dumps(good))
+        good["conversations"][0]["arrival_time"] = 0.0
+        good["conversations"][0]["turns"][1][2] = bad
+        with pytest.raises(ValueError, match="think_time"):
+            Trace.from_json(json.dumps(good))
+
     def test_save_load(self, tmp_path):
         t = Trace(conversations=[conv(0)])
         path = tmp_path / "trace.json"
