@@ -22,7 +22,7 @@ class SchedulerQueue:
     """FIFO job queue with O(1) look-ahead position queries."""
 
     # A session appears at most once, so look-ahead windows never need
-    # de-duplication (read by the prefetch planner's budget walk).
+    # de-duplication.
     window_unique = True
 
     def __init__(self) -> None:
@@ -104,9 +104,10 @@ class SchedulerQueue:
         """Bulk-position accessor: ``(seq_by_session, head_seq)``.
 
         ``position(sid) == seq_by_session[sid] - head_seq`` (or ``None``
-        when absent).  Eviction scans hundreds of candidates per victim;
-        handing them the dict replaces a method call per candidate with
-        one ``dict.get``.
+        when absent).  The dict is live and insertion-ordered by seq, and
+        waiting seqs are exactly ``head_seq .. head_seq + len - 1``: the
+        prefetch planner syncs on that, and the eviction policy filters
+        candidates through the dict at C speed.
         """
         return self._seq_by_session, self._head_seq
 
@@ -117,12 +118,8 @@ class SchedulerQueue:
     def head_window_list(self, k: int) -> list[int]:
         """``head_window`` materialised as a list.
 
-        The prefetch planner consumes the window twice per plan (a set
-        disjointness guard, then the budget walk); one C-level slice of
-        the id deque beats traversing TurnRequest objects.
+        One C-level slice of the id deque (the eviction policy's window
+        when it is shorter than the queue) beats traversing TurnRequest
+        objects.
         """
         return list(islice(self._ids, k))
-
-    def tail_window(self, k: int) -> Iterator[int]:
-        """Session ids of the last ``k`` waiting jobs, tail first."""
-        return iter(islice(reversed(self._ids), k))

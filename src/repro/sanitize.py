@@ -12,6 +12,10 @@ simulated event:
 * AttentionStore byte/tier accounting is conserved after every mutation
   (:meth:`AttentionStore.check_invariants` — tier exclusivity, capacity,
   dirty-token state);
+* every §3.3.1 prefetch plan equals the reference window walk
+  (:func:`~repro.store.prefetch.plan_prefetches`), and the incremental
+  planner's state — charges, prefix sums, disk candidates, pinned bytes —
+  equals a recomputation from the store and the queue;
 * across a cluster, a session's KV cache is resident on at most one
   replica (the §3.3 exactly-one-copy contract), re-checked immediately
   after every migration;
@@ -34,13 +38,15 @@ when bisecting, or larger values for very large replays.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Iterable
+from itertools import zip_longest
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable
 
 if TYPE_CHECKING:
     from .cluster.engine import ClusterEngine
     from .engine.engine import ServingEngine
     from .sim.loop import Simulator
     from .store.attention_store import AttentionStore
+    from .store.policy import QueueView
 
 SANITIZE_ENV = "REPRO_SANITIZE"
 STRIDE_ENV = "REPRO_SANITIZE_STRIDE"
@@ -274,6 +280,13 @@ class SimSanitizer:
             orig = getattr(store, name, None)
             if orig is not None:
                 setattr(store, name, wrap(name, orig))
+
+        def plan_check(
+            queue: QueueView, pinned: AbstractSet[int], fetch_ids: list[int]
+        ) -> None:
+            check_prefetch_plan(store, queue, pinned, fetch_ids)
+
+        store.plan_check = plan_check
         store._simsan_installed = True  # type: ignore[attr-defined]
 
 
@@ -290,6 +303,61 @@ def for_simulator(sim: Simulator) -> SimSanitizer:
 # ---------------------------------------------------------------------------
 # Engine / cluster installers
 # ---------------------------------------------------------------------------
+
+
+def check_prefetch_plan(
+    store: AttentionStore,
+    queue: QueueView,
+    pinned: AbstractSet[int],
+    fetch_ids: list[int],
+) -> None:
+    """Assert a prefetch plan equals the §3.3.1 reference walk and the
+    planner's state equals a recomputation (run before the plan issues).
+
+    Raises:
+        SimSanError: naming the first session (and its queue seq) where
+            the plan or the planner's state differs.
+    """
+    # Local import: repro.store pulls in repro.sim, whose loop imports
+    # this module.
+    from .store.item import Tier
+    from .store.prefetch import WindowEntry, plan_prefetches
+
+    dram = store.dram_tier
+    pinned_bytes = 0
+    for session_id in pinned:
+        item = store.get(session_id)
+        if item is not None and item.tier is Tier.DRAM:
+            pinned_bytes += item.n_bytes
+    budget = int(
+        max(0, dram.capacity_bytes - pinned_bytes)
+        * store.config.prefetch_capacity_fraction
+    )
+
+    def residency(session_id: int) -> WindowEntry | None:
+        item = store.get(session_id)
+        if item is None or not item.valid:
+            return None
+        return WindowEntry(
+            item.n_bytes, item.tier is Tier.DISK and not item.fetch_in_flight
+        )
+
+    reference = [
+        decision.session_id
+        for decision in plan_prefetches(queue, residency, budget, store.avg_item_bytes)
+    ]
+    for planned, expected in zip_longest(fetch_ids, reference):
+        if planned != expected:
+            session = planned if expected is None else expected
+            raise SimSanError(
+                f"prefetch plan diverged from the reference walk at session "
+                f"{session} (queue seq {queue.position_map()[0].get(session)}): "
+                f"planned {fetch_ids}, reference {reference}"
+            )
+    try:
+        store.prefetch_planner.check(queue, pinned, store.disk_tier.session_ids())
+    except AssertionError as exc:
+        raise SimSanError(f"prefetch planner state: {exc}") from exc
 
 
 def install_engine(engine: ServingEngine) -> SimSanitizer:

@@ -46,6 +46,7 @@ from .policy import (
     QueueView,
     SchedulerAwarePolicy,
 )
+from .prefetch import PrefetchPlanner
 from .sharing import SharedBlock, SharedLookup
 from .tier import StorageTier
 
@@ -169,9 +170,31 @@ class AttentionStore:
             self.ssd_health = TierHealth(fc.breaker_threshold, fc.breaker_cooldown)
             if self.ssd.fault_hook is None:
                 self.ssd.fault_hook = fault_injector
-        self.hbm_tier = StorageTier(Tier.HBM, config.hbm_cache_bytes, config.block_bytes)
-        self.dram_tier = StorageTier(Tier.DRAM, config.dram_bytes, config.block_bytes)
-        self.disk_tier = StorageTier(Tier.DISK, config.ssd_bytes, config.block_bytes)
+        self._items: dict[int, KVCacheItem] = {}
+        # The incremental §3.3.1 planner learns of tier movement from a
+        # change log: the tiers log every admit, remove and resize, and
+        # invalidate() the flag it flips (only when prefetching is on;
+        # each prefetch() call drains the log, as the engine makes one per
+        # queue push and pop).  A fetch is only ever in flight into DRAM,
+        # so complete_fetch() changes nothing the planner reads.
+        changes: list[int] = []
+        self._plan_changes = changes if config.enable_prefetch else None
+        log, block = self._plan_changes, config.block_bytes
+        self.hbm_tier = StorageTier(Tier.HBM, config.hbm_cache_bytes, block, log)
+        self.dram_tier = StorageTier(Tier.DRAM, config.dram_bytes, block, log)
+        self.disk_tier = StorageTier(Tier.DISK, config.ssd_bytes, block, log)
+        self.prefetch_planner = PrefetchPlanner(
+            self._items,
+            changes,
+            self.dram_tier.session_ids(),
+            self.dram_tier.capacity_bytes,
+            config.prefetch_capacity_fraction,
+        )
+        #: Optional cross-check run on every plan before it is issued
+        #: (installed by SimSan): ``(queue, pinned, fetch_ids)``.
+        self.plan_check: (
+            Callable[[QueueView, AbstractSet[int], list[int]], None] | None
+        ) = None
         self._tiers = {
             Tier.HBM: self.hbm_tier,
             Tier.DRAM: self.dram_tier,
@@ -179,7 +202,6 @@ class AttentionStore:
         }
         self.policy = make_policy(config.policy)
         self.stats = StoreStats()
-        self._items: dict[int, KVCacheItem] = {}
         self._total_item_bytes = 0
         # Block-granular dirty tracking: tokens of each session already
         # written to disk, so DRAM -> disk demotion only transfers the KV
@@ -467,6 +489,8 @@ class AttentionStore:
         if item is not None:
             item.valid = False
             self.stats.invalidated += 1
+            if self._plan_changes is not None:
+                self._plan_changes.append(session_id)
 
     def truncate(self, session_id: int, keep_tokens: int) -> bool:
         """Apply KV-cache truncation to a stored item (Section 3.4).
@@ -1174,81 +1198,30 @@ class AttentionStore:
         """Scheduler-aware fetching of upcoming jobs' KV from disk to DRAM.
 
         Returns ``(session_id, ready_time)`` pairs for each fetch issued.
-        Disabled when the store is configured without prefetching.
+        Disabled when the store is configured without prefetching.  The
+        fetches are the §3.3.1 window walk's decisions
+        (:func:`~repro.store.prefetch.plan_prefetches`), answered by the
+        incremental :class:`~repro.store.prefetch.PrefetchPlanner`.
         """
         if not self.config.enable_prefetch or len(queue) == 0:
+            # An empty queue leaves the planner's state valid: the next
+            # plan (after a push) drains the change log.
             return []
-        disk_ids = self.disk_tier.session_ids()
-        if not disk_ids:
+        if not self.disk_tier.session_ids() or not self.ssd_available(now):
+            # Nothing to fetch, or the SSD breaker is open (DRAM-only
+            # until a probe recovers): drop the planner's state rather than
+            # let its change log grow.
+            self.prefetch_planner.reset()
             return []
-        if not self.ssd_available(now):
-            # SSD breaker open: DRAM-only operation until a probe recovers.
+        fetch_ids = self.prefetch_planner.plan(
+            queue, pinned, max(self.avg_item_bytes, 1.0)
+        )
+        if self.plan_check is not None:
+            self.plan_check(queue, pinned, fetch_ids)
+        if not fetch_ids:
             return []
 
         items = self._items
-        capacity = self.dram_tier.capacity_bytes
-        fraction = self.config.prefetch_capacity_fraction
-        avg_bytes = max(self.avg_item_bytes, 1.0)
-
-        # Fast guard, run *before* the pinned/budget work: if no session
-        # in the look-ahead window is disk-resident, the plan necessarily
-        # issues nothing.  The guard window uses the zero-pinned
-        # overapproximation of the window length — the real window
-        # (computed below) only shrinks as pinned bytes grow, so
-        # disjointness on the larger window implies it on the real one,
-        # and the common no-op case skips the per-pinned-item walk
-        # entirely.  ``disk_ids`` is a dict-keys view and the window a
-        # C-level slice of the queue's id deque, so the guard runs at C
-        # speed.  The engine replans after every queue push/pop, so the
-        # no-op case is by far the most common.
-        max_window_len = max(1, int(capacity * fraction / avg_bytes))
-        head_window_list = getattr(queue, "head_window_list", None)
-        if head_window_list is not None:
-            window = head_window_list(max_window_len)
-        else:
-            window = list(queue.head_window(max_window_len))
-        if disk_ids.isdisjoint(window):
-            return []
-
-        # DRAM occupied by pinned (actively serving) sessions is not
-        # available to the look-ahead window.  ``pinned & dram_ids`` is a
-        # C-level set intersection, so the Python loop only touches the
-        # (usually few) pinned sessions actually DRAM-resident instead of
-        # probing the item dict for every pinned session.
-        pinned_bytes = 0
-        for session_id in pinned & self.dram_tier.session_ids():
-            pinned_bytes += items[session_id].n_bytes
-        budget = int(max(0, capacity - pinned_bytes) * fraction)
-        if budget <= 0:
-            return []
-        window_len = max(1, int(budget / avg_bytes))
-        if window_len < len(window):
-            window = window[:window_len]
-            if disk_ids.isdisjoint(window):
-                return []
-
-        # Budget walk, semantically identical to
-        # :func:`repro.store.prefetch.plan_prefetches` but operating on the
-        # item dict directly — the closure + WindowEntry indirection is the
-        # single hottest allocation site of a full replay.  Windows from
-        # the scheduler queue never repeat a session; other views may, and
-        # the walk must budget each session once, so de-dup those first
-        # (dict.fromkeys preserves first-occurrence order in C).
-        if not getattr(queue, "window_unique", False):
-            window = list(dict.fromkeys(window))
-        fetch_ids: list[int] = []
-        items_get = items.get
-        for session_id in window:
-            item = items_get(session_id)
-            if item is None or not item.valid:
-                continue
-            n_bytes = item.n_bytes
-            if n_bytes > budget:
-                break  # window is full; later jobs wait for the next plan
-            budget -= n_bytes
-            if item.tier is Tier.DISK and not item.fetch_in_flight:
-                fetch_ids.append(session_id)
-
         issued: list[tuple[int, float]] = []
         for session_id in fetch_ids:
             item = items.get(session_id)

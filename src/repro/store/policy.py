@@ -4,17 +4,25 @@ The paper compares its scheduler-aware policy (Section 3.3.2) against LRU
 and FIFO (Figure 21).  A policy picks one victim at a time; the store calls
 it repeatedly until enough space is free.
 
-Victim selection is O(scan_limit), not O(n log n): tiers maintain LRU/FIFO
-orderings incrementally and the scheduler queue answers position queries in
-O(1), so the policies walk a bounded prefix of those orderings instead of
-sorting the full resident set on every eviction.
+Tiers keep LRU and FIFO orderings incrementally, so LRU and FIFO take the
+first evictable item of their ordering.  The scheduler-aware policy reads
+queue positions from the view's seq map and filters the LRU ordering with
+C-level iterators: no Python step per waiting session, whatever the
+backlog.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import islice
-from typing import AbstractSet, Iterable, Iterator, Protocol, runtime_checkable
+from itertools import filterfalse
+from typing import (
+    AbstractSet,
+    Container,
+    Iterable,
+    Iterator,
+    Protocol,
+    runtime_checkable,
+)
 
 from .item import KVCacheItem
 from .tier import StorageTier
@@ -24,21 +32,36 @@ from .tier import StorageTier
 class QueueView(Protocol):
     """The scheduler-queue visibility AttentionStore policies rely on."""
 
+    #: True when no session appears twice in the queue, so windows need
+    #: no de-duplication.
+    window_unique: bool
+
     def position(self, session_id: int) -> int | None:
         """Distance of the session's earliest waiting job from the queue
         head, or None if the session has no waiting job."""
 
+    def position_map(self) -> tuple[dict[int, int], int]:
+        """``(seqs, head)`` with ``position(sid) == seqs[sid] - head``.
+
+        ``seqs`` is the view's live map, insertion-ordered by seq.  Between
+        two calls on the same view, jobs only leave at the head and join at
+        the tail with consecutive seqs — the contract the incremental
+        prefetch planner syncs on.
+        """
+
     def head_window(self, k: int) -> Iterator[int]:
         """Session ids of the first ``k`` waiting jobs, head first."""
 
-    def tail_window(self, k: int) -> Iterator[int]:
-        """Session ids of the last ``k`` waiting jobs, tail first."""
+    def head_window_list(self, k: int) -> list[int]:
+        """``head_window`` materialised as a list."""
 
     def __len__(self) -> int: ...
 
 
 class EmptyQueueView:
     """A queue view with no waiting jobs (for tests and history-only use)."""
+
+    window_unique = True
 
     def position(self, session_id: int) -> int | None:
         return None
@@ -52,15 +75,17 @@ class EmptyQueueView:
     def head_window_list(self, k: int) -> list[int]:
         return []
 
-    def tail_window(self, k: int) -> Iterator[int]:
-        return iter(())
-
     def __len__(self) -> int:
         return 0
 
 
 class ListQueueView:
-    """Queue view over a static list of upcoming session ids (head first)."""
+    """Queue view over a static list of upcoming session ids (head first).
+
+    A session may repeat; its position is its first occurrence.
+    """
+
+    window_unique = False
 
     def __init__(self, session_ids: Iterable[int]) -> None:
         self._ids = list(session_ids)
@@ -79,14 +104,6 @@ class ListQueueView:
 
     def head_window_list(self, k: int) -> list[int]:
         return self._ids[:k]
-
-    def tail_window(self, k: int) -> Iterator[int]:
-        # Slice the last k directly instead of reversing the whole list
-        # first (O(k), not O(n)).  -0 would slice the entire list, so an
-        # empty window needs its own exit.
-        if k <= 0:
-            return iter(())
-        return reversed(self._ids[-k:])
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -149,30 +166,25 @@ class FIFOPolicy(EvictionPolicy):
 class SchedulerAwarePolicy(EvictionPolicy):
     """The paper's scheduler-aware eviction (Section 3.3.2).
 
-    Rules, in order:
+    Among evictable items (not pinned, no fetch in flight):
 
     1. An item whose session appears in the look-ahead eviction window (the
        next ``window_limit`` waiting jobs) is *exempted* while any item
        outside the window exists; outside-window items are evicted
        LRU-first.
-    2. If every candidate has a waiting job inside the window, the window is
-       scanned from *tail to head* and the first item found resident in the
-       tier is evicted — the job needed furthest in the future loses its
-       cache last-minute protection first.
+    2. If every candidate has a waiting job inside the window, the one
+       whose job is furthest from the queue head is evicted — scanning the
+       window from tail to head, it is the first found resident.
 
-    Both scans are bounded by ``scan_limit`` so a single eviction stays
-    O(scan_limit) even with thousands of residents and a deep backlog; the
-    LRU-ordered walk makes the bounded scan coincide with the exact policy
-    in all but adversarial cases.
+    Rule 1 filters the tier's LRU ids through the window and pinned sets at
+    C level; rule 2 ranks the tier's waiting sessions by queue seq with one
+    C-level sort.
     """
 
     name = "scheduler-aware"
 
-    def __init__(self, window_limit: int | None = None, scan_limit: int = 128) -> None:
-        if scan_limit <= 0:
-            raise ValueError(f"scan_limit must be positive, got {scan_limit}")
+    def __init__(self, window_limit: int | None = None) -> None:
         self.window_limit = window_limit
-        self.scan_limit = scan_limit
 
     def choose_victim(
         self,
@@ -180,59 +192,28 @@ class SchedulerAwarePolicy(EvictionPolicy):
         queue: QueueView,
         pinned: AbstractSet[int] = frozenset(),
     ) -> KVCacheItem | None:
-        limit = self.window_limit if self.window_limit is not None else len(queue)
-        # Hundreds of candidates get a position query per eviction; views
-        # exposing ``position_map`` (the scheduler queue and the built-in
-        # views) let the scan replace per-item ``queue.position`` method
-        # calls with one dict lookup.  ``position(sid)`` is exactly
-        # ``seqs.get(sid) - head`` for these views, so the decision stream
-        # is unchanged; unknown views fall back to the protocol method.
-        seqs: dict[int, int] | None
-        position_map = getattr(queue, "position_map", None)
-        if position_map is not None:
-            seqs, head = position_map()
-        else:
-            seqs, head = None, 0
-        scan_limit = self.scan_limit
-        queue_position = queue.position
-        # Pass 1: oldest items without a queued job inside the window.
-        furthest: KVCacheItem | None = None
-        furthest_pos = -1
-        scanned = 0
-        for item in tier.iter_lru():
-            if scanned >= scan_limit:
-                break
-            scanned += 1
-            if item.session_id in pinned or item.fetch_in_flight:
-                continue
-            if seqs is None:
-                pos = queue_position(item.session_id)
-            else:
-                seq = seqs.get(item.session_id)
-                pos = None if seq is None else seq - head
-            if pos is None or pos >= limit:
+        seqs, _head = queue.position_map()
+        waiting = len(queue)
+        limit = waiting if self.window_limit is None else self.window_limit
+        # Every waiting session sits inside a window at least as long as
+        # the queue, so the seq map doubles as the window's member set.
+        window: Container[int] = (
+            seqs if limit >= waiting else set(queue.head_window_list(max(0, limit)))
+        )
+        lru = tier.lru_order()
+        outside: Iterator[int] = filterfalse(window.__contains__, lru)
+        if pinned:
+            outside = filterfalse(pinned.__contains__, outside)
+        for session_id in outside:
+            item = lru[session_id]
+            if not item.fetch_in_flight:
                 return item
-            if pos > furthest_pos:
-                furthest_pos = pos
-                furthest = item
-        # Pass 2: every scanned candidate has a job inside the window —
-        # the paper scans the window tail-to-head, i.e. the resident item
-        # whose job is furthest in the future goes first.  Finish the exact
-        # scan over the whole tier when the bounded pass missed items,
-        # resuming past the prefix pass 1 already examined instead of
-        # re-scanning it from the tier head.
-        if len(tier) > scan_limit:
-            for item in islice(tier.iter_lru(), scan_limit, None):
-                if item.session_id in pinned or item.fetch_in_flight:
-                    continue
-                if seqs is None:
-                    pos = queue_position(item.session_id)
-                else:
-                    seq = seqs.get(item.session_id)
-                    pos = None if seq is None else seq - head
-                if pos is None or pos >= limit:
-                    return item
-                if pos > furthest_pos:
-                    furthest_pos = pos
-                    furthest = item
-        return furthest
+        # Rule 2: every evictable item's job is inside the window.
+        inside: Iterator[int] = filter(window.__contains__, lru)
+        if pinned:
+            inside = filterfalse(pinned.__contains__, inside)
+        for session_id in sorted(inside, key=seqs.__getitem__, reverse=True):
+            item = lru[session_id]
+            if not item.fetch_in_flight:
+                return item
+        return None

@@ -3,12 +3,14 @@
 Tiers maintain both FIFO (arrival into the tier) and LRU (last access)
 orderings incrementally, so eviction policies can pick victims in O(1)
 instead of sorting the resident set on every eviction — essential when the
-disk tier holds thousands of sessions.
+disk tier holds thousands of sessions.  A tier can also log the session ids
+it admits, removes or resizes into a shared list (``changes``), which is
+how the store's incremental prefetch planner learns of tier movement.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, KeysView
+from typing import Iterator, KeysView, Mapping
 
 from .block import BlockAllocator
 from .item import KVCacheItem, Tier
@@ -17,8 +19,16 @@ from .item import KVCacheItem, Tier
 class StorageTier:
     """One level of the AttentionStore hierarchy (HBM, DRAM or disk)."""
 
-    def __init__(self, tier: Tier, capacity_bytes: int, block_bytes: int) -> None:
+    def __init__(
+        self,
+        tier: Tier,
+        capacity_bytes: int,
+        block_bytes: int,
+        changes: list[int] | None = None,
+    ) -> None:
         self.tier = tier
+        # Appends to the change log, or None when nothing reads one.
+        self._log = None if changes is None else changes.append
         self.allocator = BlockAllocator(capacity_bytes, block_bytes)
         # A block pool's capacity is fixed for its lifetime, so the
         # rounded-to-blocks capacity is snapshotted here: eviction and
@@ -54,6 +64,11 @@ class StorageTier:
         """Resident items, least recently accessed first."""
         return iter(self._lru.values())
 
+    def lru_order(self) -> Mapping[int, KVCacheItem]:
+        """Live read-only map of session id to resident item, least
+        recently accessed first (iterating it yields the ids)."""
+        return self._lru
+
     @property
     def used_bytes(self) -> int:
         return self.allocator.used_bytes
@@ -83,6 +98,8 @@ class StorageTier:
         item.tier = self.tier
         self._fifo[item.session_id] = item
         self._lru[item.session_id] = item
+        if self._log is not None:
+            self._log(item.session_id)
 
     def remove(self, session_id: int) -> KVCacheItem:
         """Remove a resident item and free its blocks.
@@ -93,6 +110,8 @@ class StorageTier:
         item = self._fifo.pop(session_id)
         del self._lru[session_id]
         self.allocator.free(item.allocation)
+        if self._log is not None:
+            self._log(session_id)
         return item
 
     def touch(self, session_id: int) -> None:
@@ -107,3 +126,5 @@ class StorageTier:
         item.allocation = self.allocator.resize(item.allocation, n_bytes)
         item.n_tokens = n_tokens
         item.n_bytes = n_bytes
+        if self._log is not None:
+            self._log(session_id)

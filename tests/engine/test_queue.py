@@ -80,12 +80,6 @@ class TestSchedulerQueue:
         assert list(q.head_window(2)) == [1, 2]
         assert list(q.head_window(10)) == [1, 2, 3]
 
-    def test_tail_window(self):
-        q = SchedulerQueue()
-        for sid in (1, 2, 3):
-            q.push(req(sid))
-        assert list(q.tail_window(2)) == [3, 2]
-
     def test_seq_assigned_on_push(self):
         q = SchedulerQueue()
         r = req(1)

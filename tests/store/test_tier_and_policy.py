@@ -173,20 +173,16 @@ class TestSchedulerAwarePolicy:
         assert victim is None
 
     def test_exact_scan_beyond_scan_limit(self):
-        """The bounded pass falls back to a full scan when needed."""
-        tier = make_tier(capacity=100_000)
-        n = 10
+        """Every resident queued: the furthest job's item goes, however
+        many residents there are."""
+        n = 300
+        tier = make_tier(capacity=n * 1000)
         for sid in range(n):
             tier.admit(make_item(sid))
         # Every session queued; furthest is the queue tail.
         queue = ListQueueView(list(range(n)))
-        policy = SchedulerAwarePolicy(scan_limit=3)
-        victim = policy.choose_victim(tier, queue)
+        victim = SchedulerAwarePolicy().choose_victim(tier, queue)
         assert victim.session_id == n - 1
-
-    def test_rejects_bad_scan_limit(self):
-        with pytest.raises(ValueError):
-            SchedulerAwarePolicy(scan_limit=0)
 
 
 class TestListQueueView:
@@ -199,5 +195,5 @@ class TestListQueueView:
     def test_windows(self):
         q = ListQueueView([1, 2, 3])
         assert list(q.head_window(2)) == [1, 2]
-        assert list(q.tail_window(2)) == [3, 2]
+        assert q.head_window_list(2) == [1, 2]
         assert len(q) == 3
