@@ -2,8 +2,8 @@
 
 Times a **cold** (cache-disabled) ``repro.lint.flow`` run over the whole
 ``src/repro`` tree — summary extraction, call-graph construction, and
-all four passes (transitive taint, epoch-guard, store-protocol
-typestate, batch-race) — and holds it to the ``bound_wall_s`` recorded
+all three passes (transitive taint, epoch-guard, store-protocol
+typestate) — and holds it to the ``bound_wall_s`` recorded
 in the ``lint_flow`` section of ``BENCH_sim.json``.  The analyzer runs
 on every CI push, so its cost has to stay bounded as the tree grows;
 the bound is set far above the measured baseline (sub-second on the

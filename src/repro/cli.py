@@ -268,21 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--flow",
         action="store_true",
         help="run the whole-program analyzer (taint, epoch guards, "
-        "store-protocol typestate, batch races)",
+        "store-protocol typestate); any finding fails",
     )
     lint.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
         help="report format",
-    )
-    lint.add_argument(
-        "--baseline", default=None, help="flow baseline file override"
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the flow baseline (ratcheted)",
     )
     lint.add_argument(
         "--no-cache", action="store_true", help="bypass the flow summary cache"
@@ -731,10 +723,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         argv.append("--flow")
     if args.format != "text":
         argv.extend(["--format", args.format])
-    if args.baseline is not None:
-        argv.extend(["--baseline", args.baseline])
-    if args.write_baseline:
-        argv.append("--write-baseline")
     if args.no_cache:
         argv.append("--no-cache")
     if args.unused_suppressions:

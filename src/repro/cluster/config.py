@@ -8,6 +8,7 @@ its own PCIe links and AttentionStore partition) behind a session router.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,6 +70,16 @@ class ClusterConfig:
     drain_poll_s: float = 5.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "net_bandwidth",
+            "failover_detection_s",
+            "failover_backoff_s",
+            "failover_backoff_cap_s",
+            "drain_poll_s",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_instances <= 0:
             raise ValueError(
                 f"n_instances must be positive, got {self.n_instances}"

@@ -337,7 +337,7 @@ class ClusterEngine:
             # park the turn until restart when failover is disabled.
             now = self.sim.now
             if self.cluster.failover:
-                self._failover_turn(session_id, now, now, 1)
+                self._failover_turns([(session_id, now)], now, 1)
             else:
                 self._parked.append((session_id, now))
                 self.parked_turns += 1
@@ -488,17 +488,41 @@ class ClusterEngine:
                     "downtime_s": crash.downtime,
                 },
             )
-        for request in interrupted:
-            if self.cluster.failover:
-                self.sim.after(
-                    self.cluster.failover_detection_s,
-                    lambda sid=request.session_id, at=request.arrival_time: (
-                        self._failover_turn(sid, at, now, 1)
-                    ),
-                )
-            else:
-                self._parked.append((request.session_id, request.arrival_time))
-                self.parked_turns += 1
+        turns = [(r.session_id, r.arrival_time) for r in interrupted]
+        if not self.cluster.failover:
+            self._parked.extend(turns)
+            self.parked_turns += len(turns)
+        elif turns:
+            # One event re-routes every interrupted turn, in the order the
+            # replica held them: per-turn events would all share this
+            # timestamp, and their routing decisions depend on each other.
+            self.sim.after(
+                self.cluster.failover_detection_s,
+                lambda: self._failover_turns(turns, now, 1),
+            )
+
+    def _failover_turns(
+        self,
+        turns: list[tuple[int, float]],
+        orphaned_at: float,
+        attempt: int,
+    ) -> None:
+        """Re-route ``(session_id, arrival_time)`` turns orphaned at
+        ``orphaned_at``, in list order.
+
+        Turns that find no routable replica retry together, still in
+        order, as one event after a capped exponential backoff.
+        """
+        retry = [
+            turn
+            for turn in turns
+            if not self._failover_turn(*turn, orphaned_at, attempt)
+        ]
+        if retry:
+            self.sim.after(
+                self._retry_backoff(attempt),
+                lambda: self._failover_turns(retry, orphaned_at, attempt + 1),
+            )
 
     def _failover_turn(
         self,
@@ -506,17 +530,17 @@ class ClusterEngine:
         arrival_time: float,
         orphaned_at: float,
         attempt: int,
-    ) -> None:
+    ) -> bool:
         """Re-route one turn orphaned by a crash to a healthy replica.
 
-        Retries with capped exponential backoff while no replica is
-        routable.  The resubmitted turn keeps its original arrival time
-        (recorded queueing delay spans the outage) and carries the
-        failover flag, so the new home recomputes the history — the
-        surviving SSD copy is unreachable until the dead replica
-        restarts, and exactly-one-copy forbids a second one.  If the home
-        replica restarts before any peer frees up, the turn is served
-        there normally against the re-admitted SSD copy.
+        Returns False, counting a retry, while no replica is routable
+        (:meth:`_failover_turns` retries it).  The resubmitted turn keeps
+        its original arrival time (recorded queueing delay spans the
+        outage) and carries the failover flag, so the new home recomputes
+        the history — the surviving SSD copy is unreachable until the dead
+        replica restarts, and exactly-one-copy forbids a second one.  If
+        the home replica restarts before any peer frees up, the turn is
+        served there normally against the re-admitted SSD copy.
         """
         home = self._home[session_id]
         owner = self.engines[home]
@@ -525,13 +549,7 @@ class ClusterEngine:
             target_index = self.router.route(session_id, None)
         except NoRoutableReplica:
             self.failover_retries += 1
-            self.sim.after(
-                self._retry_backoff(attempt),
-                lambda: self._failover_turn(
-                    session_id, arrival_time, orphaned_at, attempt + 1
-                ),
-            )
-            return
+            return False
         target = self.engines[target_index]
         failed_over = target_index != home
         if failed_over:
@@ -559,6 +577,7 @@ class ClusterEngine:
         target.submit_next_turn(
             session, failover=failed_over, arrival_time=arrival_time
         )
+        return True
 
     def _restart_replica(self, crash: ReplicaCrash) -> None:
         """Bring a crashed replica back: re-admit its surviving SSD KV

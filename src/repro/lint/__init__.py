@@ -12,10 +12,9 @@ ones: an AST pass over ``src/repro`` with rules catalogued in
 
 On top of the per-file rules, :mod:`repro.lint.flow` runs whole-program
 passes over a project symbol table and call graph — transitive
-determinism taint, epoch-guard verification for continuations, the
-store's exactly-one-copy protocol typestate, and same-timestamp
-batch-race detection — behind ``--flow``, with a ratcheted baseline for
-reviewed pre-existing findings.
+determinism taint, epoch-guard verification for continuations, and the
+store's exactly-one-copy protocol typestate — behind ``--flow``.  Any
+finding fails; there is no baseline.
 
 Run it as ``python -m repro.cli lint src/repro`` (or ``python -m
 repro.lint src/repro``); add ``--flow`` for the whole-program analyzer

@@ -346,28 +346,14 @@ def run_lint(argv: list[str] | None = None) -> int:
         "--flow",
         action="store_true",
         help="run the whole-program analyzer (call-graph taint, epoch "
-        "guards, store-protocol typestate, batch races) instead of the "
-        "per-file rules",
+        "guards, store-protocol typestate) instead of the per-file rules; "
+        "any finding fails",
     )
     parser.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
-        help="report format (json/sarif include baselined findings)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="flow baseline file (default: [tool.repro-lint.flow] "
-        "baseline, resolved against the pyproject root)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the flow baseline from the current findings; "
-        "ratcheted — refuses to add entries unless "
-        "REPRO_LINT_BASELINE_GROW=1",
+        help="report format",
     )
     parser.add_argument(
         "--no-cache",
@@ -407,8 +393,6 @@ def run_lint(argv: list[str] | None = None) -> int:
             paths,
             config,
             report_format=args.format,
-            baseline_path=args.baseline,
-            write_baseline=args.write_baseline,
             use_cache=not args.no_cache,
         )
 
@@ -416,11 +400,11 @@ def run_lint(argv: list[str] | None = None) -> int:
     if args.format == "json":
         from .flow.output import findings_json
 
-        print(findings_json(diagnostics, baselined=[], limits={}))
+        print(findings_json(diagnostics, limits={}))
     elif args.format == "sarif":
         from .flow.output import findings_sarif
 
-        print(findings_sarif(diagnostics, baselined=[]))
+        print(findings_sarif(diagnostics))
     else:
         print(format_report(diagnostics))
     return 1 if diagnostics else 0

@@ -62,9 +62,6 @@ DEFAULT_STORE_MIGRATION_API = frozenset(
 class FlowOptions:
     """Options for the whole-program analyzer (``[tool.repro-lint.flow]``)."""
 
-    #: Baseline file for pre-existing findings, relative to the pyproject
-    #: root (ratcheted: runs fail on findings not recorded here).
-    baseline: str = "lint-flow-baseline.json"
     #: Per-file summary cache path (relative to the pyproject root);
     #: ``None`` disables caching.
     cache: str | None = ".repro-lint-cache/flow.json"
@@ -131,17 +128,13 @@ def _flow_options_from_mapping(data: Any) -> FlowOptions:
     """Parse and validate the ``[tool.repro-lint.flow]`` table."""
     if not isinstance(data, dict):
         raise TypeError("[tool.repro-lint.flow] must be a table")
-    known = {"baseline", "cache", "max-paths"}
+    known = {"cache", "max-paths"}
     unknown = set(data) - known
     if unknown:
         raise KeyError(
             f"unknown [tool.repro-lint.flow] keys: {', '.join(sorted(unknown))}"
         )
     opts = FlowOptions()
-    if "baseline" in data:
-        if not isinstance(data["baseline"], str):
-            raise TypeError("[tool.repro-lint.flow] baseline must be a string")
-        opts = replace(opts, baseline=data["baseline"])
     if "cache" in data:
         cache = data["cache"]
         if not (cache is None or isinstance(cache, str)):

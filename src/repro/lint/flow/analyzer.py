@@ -8,18 +8,11 @@ from typing import Iterable, Mapping
 
 from ..checker import SpanAllows
 from ..config import LintConfig, find_pyproject
-from ..diagnostics import Diagnostic, format_report
-from .baseline import (
-    BaselineGrowthError,
-    FlowFinding,
-    apply_baseline,
-    load_baseline,
-)
-from .baseline import write_baseline as write_baseline_file
-from .batchrace import run_batch_race_pass
+from ..diagnostics import format_report
 from .cache import SummaryCache
 from .callgraph import build_call_graph
 from .epoch import run_epoch_pass
+from .findings import FlowFinding
 from .project import ProjectIndex, load_project
 from .protocol import run_protocol_pass
 from .taint import run_taint_pass
@@ -27,7 +20,7 @@ from .taint import run_taint_pass
 
 @dataclass(slots=True)
 class FlowResult:
-    """Everything one analyzer run produced (before baseline splitting)."""
+    """Everything one analyzer run produced."""
 
     findings: list[FlowFinding] = field(default_factory=list)
     suppressions: Mapping[str, SpanAllows] = field(default_factory=dict)
@@ -36,7 +29,7 @@ class FlowResult:
 
 
 def project_root(paths: Iterable[Path]) -> Path:
-    """The pyproject root anchoring baseline/cache relative paths."""
+    """The pyproject root anchoring the cache's relative paths."""
     for path in paths:
         pyproject = find_pyproject(path)
         if pyproject is not None:
@@ -51,7 +44,7 @@ def analyze_paths(
     use_cache: bool = True,
     root: Path | None = None,
 ) -> FlowResult:
-    """Run all four flow passes; suppressions already applied."""
+    """Run the three flow passes; suppressions already applied."""
     path_list = [Path(p) for p in paths]
     anchor = root if root is not None else project_root(path_list)
     cache: SummaryCache | None = None
@@ -82,8 +75,6 @@ def analyze_paths(
             index, config.flow.max_paths
         )
         findings.extend(proto_findings)
-    if "batch-race" not in disabled:
-        findings.extend(run_batch_race_pass(index, config))
     findings.sort(key=FlowFinding.sort_key)
 
     limits = dict(index.limits)
@@ -111,62 +102,25 @@ def run_flow(
     config: LintConfig,
     *,
     report_format: str = "text",
-    baseline_path: Path | None = None,
-    write_baseline: bool = False,
     use_cache: bool = True,
 ) -> int:
-    """CLI driver: analyze, apply the baseline, render, return exit code."""
-    path_list = [Path(p) for p in paths]
-    root = project_root(path_list)
-    result = analyze_paths(path_list, config, use_cache=use_cache, root=root)
-    resolved_baseline = (
-        baseline_path
-        if baseline_path is not None
-        else root / config.flow.baseline
-    )
-
-    if write_baseline:
-        try:
-            kept, added = write_baseline_file(
-                resolved_baseline, result.findings, root
-            )
-        except BaselineGrowthError as exc:
-            print(str(exc))
-            return 2
-        print(
-            f"baseline written to {resolved_baseline}: "
-            f"{kept + added} entr{'y' if kept + added == 1 else 'ies'} "
-            f"({added} added)"
-        )
-        return 0
-
-    entries = load_baseline(resolved_baseline)
-    new, baselined, stale = apply_baseline(result.findings, entries, root)
-    new_diags = [f.to_diagnostic() for f in new]
-    base_diags = [f.to_diagnostic() for f in baselined]
+    """CLI driver: analyze, render, return exit code (1 on any finding)."""
+    result = analyze_paths(paths, config, use_cache=use_cache)
+    diags = [f.to_diagnostic() for f in result.findings]
 
     if report_format == "json":
         from .output import findings_json
 
-        print(findings_json(new_diags, baselined=base_diags, limits=result.limits))
+        print(findings_json(diags, limits=result.limits))
     elif report_format == "sarif":
         from .output import findings_sarif
 
-        print(findings_sarif(new_diags, baselined=base_diags))
+        print(findings_sarif(diags))
     else:
-        if new_diags:
-            print(format_report(new_diags))
-        summary = (
-            f"flow: {len(new_diags)} new finding"
-            f"{'' if len(new_diags) == 1 else 's'}, "
-            f"{len(base_diags)} baselined, {len(stale)} stale baseline "
-            f"entr{'y' if len(stale) == 1 else 'ies'}; "
+        if diags:
+            print(format_report(diags))
+        print(
+            f"flow: {len(diags)} finding{'' if len(diags) == 1 else 's'}; "
             f"{_limits_line(result.limits)}"
         )
-        print(summary)
-        if stale:
-            print(
-                "stale baseline entries can be pruned with "
-                "`python -m repro.lint --flow --write-baseline`"
-            )
-    return 1 if new_diags else 0
+    return 1 if diags else 0

@@ -13,7 +13,7 @@ dominated by a comparison of ``self.epoch`` against the engine's live
 
 from __future__ import annotations
 
-from .baseline import FlowFinding
+from .findings import FlowFinding
 from .project import ProjectIndex
 
 EPOCH_RULE = "epoch-guard"

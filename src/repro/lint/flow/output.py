@@ -37,39 +37,32 @@ def _rule_catalogue() -> list[dict[str, Any]]:
     return entries
 
 
-def _diag_payload(diag: Diagnostic, baselined: bool) -> dict[str, Any]:
+def _diag_payload(diag: Diagnostic) -> dict[str, Any]:
     return {
         "path": diag.path,
         "line": diag.line,
         "col": diag.col,
         "rule": diag.rule,
         "message": diag.message,
-        "baselined": baselined,
     }
 
 
 def findings_json(
     diagnostics: Sequence[Diagnostic],
-    baselined: Sequence[Diagnostic] = (),
     limits: dict[str, int] | None = None,
 ) -> str:
     payload = {
         "tool": _TOOL_NAME,
-        "findings": [
-            *(_diag_payload(d, False) for d in diagnostics),
-            *(_diag_payload(d, True) for d in baselined),
-        ],
-        "counts": {"new": len(diagnostics), "baselined": len(baselined)},
+        "findings": [_diag_payload(d) for d in diagnostics],
         "limits": dict(limits) if limits else {},
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _sarif_result(diag: Diagnostic, baselined: bool) -> dict[str, Any]:
+def _sarif_result(diag: Diagnostic) -> dict[str, Any]:
     return {
         "ruleId": diag.rule,
-        "level": "warning" if baselined else "error",
-        "baselineState": "unchanged" if baselined else "new",
+        "level": "error",
         "message": {"text": diag.message},
         "locations": [
             {
@@ -85,10 +78,7 @@ def _sarif_result(diag: Diagnostic, baselined: bool) -> dict[str, Any]:
     }
 
 
-def findings_sarif(
-    diagnostics: Sequence[Diagnostic],
-    baselined: Sequence[Diagnostic] = (),
-) -> str:
+def findings_sarif(diagnostics: Sequence[Diagnostic]) -> str:
     log = {
         "$schema": _SARIF_SCHEMA,
         "version": _SARIF_VERSION,
@@ -101,10 +91,7 @@ def findings_sarif(
                         "rules": _rule_catalogue(),
                     }
                 },
-                "results": [
-                    *(_sarif_result(d, False) for d in diagnostics),
-                    *(_sarif_result(d, True) for d in baselined),
-                ],
+                "results": [_sarif_result(d) for d in diagnostics],
             }
         ],
     }

@@ -12,14 +12,11 @@ the ASTs again.  Each summary records, per function:
 * **taints** — direct determinism-rule hits (wall clock, unseeded RNG,
   hash/set order) with their suppression status, the seeds of the
   transitive-taint pass;
-* **reads/writes** — approximate ``self``-rooted attribute effect sets
-  for the batch-race pass;
 * **proto** — a compact control-flow IR of the store-protocol call
   sites (extract/admit/decommission/...) for the typestate pass;
 
-and, per class: ``__slots__``, whether it is callable, and the
-epoch-guard verdict for continuation classes that store an ``epoch``
-slot.
+and, per class: ``__slots__``, bases, methods, and the epoch-guard
+verdict for continuation classes that store an ``epoch`` slot.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from ..rules import (
 
 #: Bump when the summary schema or extraction logic changes; invalidates
 #: every cache entry.
-SUMMARY_VERSION = 4
+SUMMARY_VERSION = 5
 
 #: The store's exactly-one-copy lifecycle methods (paper §3.3 plus the
 #: failure domain of DESIGN.md §11).  The shared-prefix ops participate
@@ -72,28 +69,6 @@ PROTOCOL_OPS = frozenset(
 
 #: Protocol ops that take a session id as their first argument.
 SESSION_OPS = frozenset({"extract", "admit_migrated", "discard_stale"})
-
-#: Method names treated as mutating their receiver in the effect pass.
-MUTATOR_METHODS = frozenset(
-    {
-        "add",
-        "append",
-        "appendleft",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popleft",
-        "push",
-        "put",
-        "remove",
-        "reverse",
-        "setdefault",
-        "sort",
-        "update",
-    }
-)
 
 #: Builtin callables considered benign inside an unguarded continuation
 #: prologue (pure computation, no engine/store mutation).
@@ -241,68 +216,6 @@ def _describe_call(node: ast.Call, aliases: dict[str, str]) -> dict[str, Any] | 
         "line": node.lineno,
         "col": node.col_offset,
     }
-
-
-# ---------------------------------------------------------------------------
-# Effects (batch-race pass input)
-# ---------------------------------------------------------------------------
-
-
-def _self_path(node: ast.expr) -> list[str] | None:
-    """Attribute chain rooted at ``self`` (without the ``self``), else None."""
-    chain = _attr_chain(node)
-    if chain is None or chain[0] != "self" or len(chain) < 2:
-        return None
-    return chain[1:]
-
-
-def _effect_path(node: ast.expr) -> list[str] | None:
-    """Attribute chain rooted at ``self`` or a conventional alias.
-
-    ``self.engine.x`` and the idiomatic local alias ``engine.x`` (after
-    ``engine = self.engine``) both normalise to ``["engine", "x"]``; a
-    bare local root other than ``engine``/``store`` is private state and
-    yields None.
-    """
-    chain = _attr_chain(node)
-    if chain is None or len(chain) < 2:
-        return None
-    if chain[0] == "self":
-        return chain[1:]
-    if chain[0] in ("engine", "store"):
-        return chain
-    return None
-
-
-def _effects_of(body: list[ast.stmt]) -> tuple[list[str], list[str]]:
-    """Approximate (reads, writes) of shared-object attribute paths.
-
-    Paths are truncated to two segments.  Assignment and augmented
-    assignment targets are writes; calls to known-mutating methods on a
-    tracked receiver are writes of the receiver path; all other loads
-    are reads.
-    """
-    reads: set[str] = set()
-    writes: set[str] = set()
-
-    def norm(parts: list[str]) -> str:
-        return ".".join(parts[:2])
-
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Attribute):
-                path = _effect_path(node)
-                if path is None:
-                    continue
-                if isinstance(node.ctx, (ast.Store, ast.Del)):
-                    writes.add(norm(path))
-                else:
-                    reads.add(norm(path))
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                recv_path = _effect_path(node.func.value)
-                if recv_path is not None and node.func.attr in MUTATOR_METHODS:
-                    writes.add(norm(recv_path))
-    return sorted(reads), sorted(writes)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +716,6 @@ def summarize_module(
                     described = _describe_call(sub, aliases)
                     if described is not None:
                         calls.append(described)
-        reads, writes = _effects_of(own_nodes)
         functions[qual] = {
             "name": qual.rsplit(".", 1)[-1],
             "cls": cls,
@@ -811,8 +723,6 @@ def summarize_module(
             "col": col,
             "calls": calls,
             "taints": [],
-            "reads": reads,
-            "writes": writes,
             "proto": _build_protocol_ir(own_nodes),
         }
 
@@ -883,7 +793,7 @@ def summarize_module(
 
     summary["functions"] = functions
 
-    # Classes: slots, callability, epoch-guard verdicts.
+    # Classes: slots, bases, epoch-guard verdicts.
     classes: dict[str, dict[str, Any]] = {}
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
@@ -921,7 +831,6 @@ def summarize_module(
             "bases": bases,
             "methods": methods,
             "slots": slots,
-            "has_call": call_def is not None,
             "stores_epoch": stores_epoch,
             "defines_protocol": len(PROTOCOL_OPS & set(methods)) >= 3,
             "epoch": epoch,

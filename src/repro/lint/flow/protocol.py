@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .baseline import FlowFinding
+from .findings import FlowFinding
 from .project import ProjectIndex
 
 PROTOCOL_RULE = "store-protocol"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .baseline import FlowFinding
+from .findings import FlowFinding
 from .callgraph import CallGraph
 from .project import ProjectIndex
 

@@ -588,7 +588,6 @@ RULES_BY_NAME: dict[str, Rule] = {rule.name: rule for rule in RULES}
 #: REP603  flow-order            no call path reaches hash/set-order state
 #: REP611  epoch-guard           epoch-slotted continuations guard their fire
 #: REP621  store-protocol        exactly-one-copy store lifecycle typestate
-#: REP631  batch-race            same-timestamp handlers with effect conflicts
 #: ======  ====================  ==============================================
 FLOW_RULE_CODES: dict[str, str] = {
     "flow-wall-clock": "REP601",
@@ -596,7 +595,6 @@ FLOW_RULE_CODES: dict[str, str] = {
     "flow-order": "REP603",
     "epoch-guard": "REP611",
     "store-protocol": "REP621",
-    "batch-race": "REP631",
 }
 
 FLOW_RULE_NAMES: frozenset[str] = frozenset(FLOW_RULE_CODES)
@@ -608,6 +606,5 @@ ALL_RULE_NAMES: frozenset[str] = frozenset(RULES_BY_NAME) | FLOW_RULE_NAMES
 #: Rules without an entry accept no options; naming one is a config error.
 RULE_OPTION_KEYS: dict[str, frozenset[str]] = {
     "store-protocol": frozenset({"max-paths"}),
-    "batch-race": frozenset({"ignore-attrs"}),
     "epoch-guard": frozenset({"benign-calls"}),
 }

@@ -112,3 +112,18 @@ class TestClusterConfigValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ClusterConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "failover_detection_s",
+            "failover_backoff_s",
+            "failover_backoff_cap_s",
+            "drain_poll_s",
+            "net_bandwidth",
+        ],
+    )
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ClusterConfig(**{field: value})

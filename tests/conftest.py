@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+from itertools import count
+
 import numpy as np
 import pytest
 
 from repro.config import EngineConfig, HardwareConfig, StoreConfig
 from repro.models import GiB, MiB, get_model
+from repro.sim import Simulator
 from repro.workload import WorkloadSpec, generate_trace
 
 
@@ -46,3 +50,27 @@ def engine_config():
 @pytest.fixture
 def hardware():
     return HardwareConfig(num_gpus=2)
+
+
+@pytest.fixture
+def tie_shuffle(monkeypatch):
+    """Break same-timestamp ties at random in every simulator built next.
+
+    Call the returned function with a seed.  It patches ``Simulator``
+    construction so the heap's tie-break key is ``(rng.random(), n)``
+    instead of the scheduling counter: events at one timestamp fire in a
+    seeded random order, while time order is untouched.  A result that
+    changes under this fixture depends on an ordering the model does not
+    mean to make (DESIGN.md §12).
+    """
+    init = Simulator.__init__
+
+    def install(seed: int) -> None:
+        def shuffled_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            rng = random.Random(seed)
+            self._seq = ((rng.random(), n) for n in count())
+
+        monkeypatch.setattr(Simulator, "__init__", shuffled_init)
+
+    return install

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from repro.lint.config import LintConfig
-from repro.lint.flow.baseline import FlowFinding
-from repro.lint.flow.batchrace import run_batch_race_pass
 from repro.lint.flow.callgraph import CallGraph, build_call_graph
 from repro.lint.flow.epoch import run_epoch_pass
+from repro.lint.flow.findings import FlowFinding
 from repro.lint.flow.project import ProjectIndex, build_index, summarize_module
 from repro.lint.flow.protocol import run_protocol_pass
 from repro.lint.flow.taint import run_taint_pass
@@ -14,7 +13,7 @@ from repro.lint.flow.taint import run_taint_pass
 
 def index_of(
     sources: dict[str, str], config: LintConfig | None = None
-) -> tuple[ProjectIndex, CallGraph, LintConfig]:
+) -> tuple[ProjectIndex, CallGraph]:
     cfg = config if config is not None else LintConfig()
     summaries = {
         name: summarize_module(
@@ -23,7 +22,7 @@ def index_of(
         for name, text in sources.items()
     }
     index = build_index(summaries)
-    return index, build_call_graph(index), cfg
+    return index, build_call_graph(index)
 
 
 def analyze_sources(
@@ -31,13 +30,12 @@ def analyze_sources(
     config: LintConfig | None = None,
     max_paths: int = 256,
 ) -> list[FlowFinding]:
-    """All four passes over in-memory modules keyed by dotted name."""
-    index, graph, cfg = index_of(sources, config)
+    """All three passes over in-memory modules keyed by dotted name."""
+    index, graph = index_of(sources, config)
     findings = [
         *run_taint_pass(index, graph),
         *run_epoch_pass(index),
         *run_protocol_pass(index, max_paths)[0],
-        *run_batch_race_pass(index, cfg),
     ]
     findings.sort(key=FlowFinding.sort_key)
     return findings

@@ -43,10 +43,12 @@ class TestSuppressions:
         assert [d.rule for d in diags] == ["float-eq"]
 
     def test_allow_unknown_rule_is_a_finding(self):
-        source = "x = 1  # repro-lint: allow=made-up-rule (because)\n"
-        diags = lint_source(source, module="repro.sim.x")
-        assert [d.rule for d in diags] == ["bare-allow"]
-        assert "made-up-rule" in diags[0].message
+        # ``batch-race`` was a flow rule; naming it now is an error too.
+        for rule in ("made-up-rule", "batch-race"):
+            source = f"x = 1  # repro-lint: allow={rule} (because)\n"
+            diags = lint_source(source, module="repro.sim.x")
+            assert [d.rule for d in diags] == ["bare-allow"]
+            assert rule in diags[0].message
 
     def test_multi_rule_allow(self):
         source = (

@@ -44,25 +44,29 @@ class TestMapping:
         the misspelled rule silently enforcing."""
         with pytest.raises(KeyError, match="flaot-eq"):
             config_from_mapping({"disable": ["float-eq", "flaot-eq"]})
+        # A rule that no longer exists is as unknown as a typo.
+        with pytest.raises(KeyError, match="batch-race"):
+            config_from_mapping({"disable": ["batch-race"]})
 
     def test_flow_rule_names_are_disableable(self):
-        cfg = config_from_mapping({"disable": ["batch-race", "epoch-guard"]})
-        assert cfg.disable == frozenset({"batch-race", "epoch-guard"})
+        cfg = config_from_mapping({"disable": ["store-protocol", "epoch-guard"]})
+        assert cfg.disable == frozenset({"store-protocol", "epoch-guard"})
 
 
 class TestRuleOptions:
     def test_valid_rule_options(self):
         cfg = config_from_mapping(
-            {"rule-options": {"batch-race": {"ignore-attrs": ["engine.stats"]}}}
+            {"rule-options": {"epoch-guard": {"benign-calls": ["log"]}}}
         )
-        assert cfg.options_for("batch-race") == {
-            "ignore-attrs": ["engine.stats"]
-        }
-        assert cfg.options_for("epoch-guard") == {}
+        assert cfg.options_for("epoch-guard") == {"benign-calls": ["log"]}
+        assert cfg.options_for("store-protocol") == {}
 
     def test_unknown_rule_name_rejected(self):
-        with pytest.raises(KeyError, match="no-such-rule"):
-            config_from_mapping({"rule-options": {"no-such-rule": {}}})
+        for rule in ("no-such-rule", "batch-race"):
+            with pytest.raises(KeyError, match=rule):
+                config_from_mapping(
+                    {"rule-options": {rule: {"ignore-attrs": ["engine.stats"]}}}
+                )
 
     def test_unknown_option_key_rejected(self):
         with pytest.raises(KeyError, match="max-pahts"):
@@ -76,26 +80,26 @@ class TestRuleOptions:
 
     def test_option_table_must_be_table(self):
         with pytest.raises(TypeError):
-            config_from_mapping({"rule-options": {"batch-race": "nope"}})
+            config_from_mapping({"rule-options": {"store-protocol": "nope"}})
 
 
 class TestFlowOptions:
     def test_defaults(self):
         cfg = config_from_mapping({})
-        assert cfg.flow.baseline == "lint-flow-baseline.json"
+        assert cfg.flow.cache == ".repro-lint-cache/flow.json"
         assert cfg.flow.max_paths == 256
 
     def test_overrides(self):
-        cfg = config_from_mapping(
-            {"flow": {"baseline": "b.json", "max-paths": 8, "cache": ""}}
-        )
-        assert cfg.flow.baseline == "b.json"
+        cfg = config_from_mapping({"flow": {"max-paths": 8, "cache": ""}})
         assert cfg.flow.max_paths == 8
         assert cfg.flow.cache is None
 
     def test_unknown_flow_key_rejected(self):
         with pytest.raises(KeyError, match="cachepath"):
             config_from_mapping({"flow": {"cachepath": "x"}})
+        # The flow baseline is gone; a leftover key must not pass silently.
+        with pytest.raises(KeyError, match="baseline"):
+            config_from_mapping({"flow": {"baseline": "lint-flow-baseline.json"}})
 
     def test_max_paths_must_be_positive_int(self):
         with pytest.raises(TypeError):

@@ -1,4 +1,4 @@
-"""End-to-end analyzer: golden fixtures, baseline ratchet, cache, CLI."""
+"""End-to-end analyzer: golden fixtures, a clean tree, cache, CLI."""
 
 from __future__ import annotations
 
@@ -8,17 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.lint.config import FlowOptions, LintConfig, load_config
 from repro.lint.flow import analyze_paths
-from repro.lint.flow.baseline import (
-    BaselineGrowthError,
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.flow.cache import SummaryCache
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
@@ -53,26 +44,36 @@ class TestGoldenFixtures:
         assert "taint_suppressed_source.py" not in flagged_files
         assert "guarded_continuation.py" not in flagged_files
 
+    def test_scope_and_key_are_line_free(self) -> None:
+        # Shifting a file by a blank line moves the finding, not its
+        # identity.
+        src = (FIXTURES / "extract_leak.py").read_text()
+        shifted = "\n" + src
+        from flow_helpers import analyze_sources
+
+        base = analyze_sources({"extract_leak": src})
+        moved = analyze_sources({"extract_leak": shifted})
+        assert [
+            (f.rule, f.scope, f.key) for f in base
+        ] == [(f.rule, f.scope, f.key) for f in moved]
+        assert [f.line for f in base] != [f.line for f in moved]
+
 
 class TestTreeIsClean:
-    def test_src_has_zero_unbaselined_findings(self) -> None:
-        cfg = load_config(SRC)
-        result = analyze_paths([SRC], cfg, use_cache=False, root=REPO)
-        entries = load_baseline(REPO / cfg.flow.baseline)
-        new, _, stale = apply_baseline(result.findings, entries, REPO)
-        assert new == [], [f.to_diagnostic().format() for f in new]
-        assert stale == []
+    def test_src_has_zero_findings(self) -> None:
+        result = analyze_paths(
+            [SRC], load_config(SRC), use_cache=False, root=REPO
+        )
+        assert result.findings == [], [
+            f.to_diagnostic().format() for f in result.findings
+        ]
 
     def test_seeded_bug_in_src_would_fail(self, tmp_path: Path) -> None:
         # The acceptance demo: copy src, introduce a fixture bug, and the
-        # baseline-enforced run must go red.
+        # run must go red.
         work = tmp_path / "src" / "repro"
         shutil.copytree(SRC, work)
         shutil.copy(REPO / "pyproject.toml", tmp_path / "pyproject.toml")
-        shutil.copy(
-            REPO / "lint-flow-baseline.json",
-            tmp_path / "lint-flow-baseline.json",
-        )
         bad = FIXTURES / "unguarded_continuation.py"
         (work / "engine" / "bad_continuation.py").write_text(bad.read_text())
         proc = subprocess.run(
@@ -91,59 +92,6 @@ class TestTreeIsClean:
         )
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "epoch-guard" in proc.stdout
-
-
-class TestBaselineRatchet:
-    def test_round_trip_and_split(self, tmp_path: Path) -> None:
-        findings = _fixture_findings()
-        baseline = tmp_path / "baseline.json"
-        import os
-
-        os.environ["REPRO_LINT_BASELINE_GROW"] = "1"
-        try:
-            write_baseline(baseline, findings, FIXTURES)
-        finally:
-            del os.environ["REPRO_LINT_BASELINE_GROW"]
-        entries = load_baseline(baseline)
-        new, baselined, stale = apply_baseline(findings, entries, FIXTURES)
-        assert new == [] and stale == []
-        assert len(baselined) == len(findings)
-
-    def test_write_refuses_growth_without_optin(
-        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        monkeypatch.delenv("REPRO_LINT_BASELINE_GROW", raising=False)
-        findings = _fixture_findings()
-        baseline = tmp_path / "baseline.json"
-        with pytest.raises(BaselineGrowthError) as err:
-            write_baseline(baseline, findings, FIXTURES)
-        assert "refusing to grow" in str(err.value)
-
-    def test_shrinking_is_always_allowed(
-        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        findings = _fixture_findings()
-        baseline = tmp_path / "baseline.json"
-        monkeypatch.setenv("REPRO_LINT_BASELINE_GROW", "1")
-        write_baseline(baseline, findings, FIXTURES)
-        monkeypatch.delenv("REPRO_LINT_BASELINE_GROW")
-        kept, added = write_baseline(baseline, findings[:2], FIXTURES)
-        assert added == 0 and kept == len(
-            {fingerprint(f, FIXTURES) for f in findings[:2]}
-        )
-
-    def test_fingerprints_are_line_free(self) -> None:
-        # Shifting a file by a blank line must not change any fingerprint.
-        src = (FIXTURES / "extract_leak.py").read_text()
-        shifted = "\n" + src
-        from flow_helpers import analyze_sources
-
-        base = analyze_sources({"extract_leak": src})
-        moved = analyze_sources({"extract_leak": shifted})
-        assert [
-            (f.rule, f.scope, f.key) for f in base
-        ] == [(f.rule, f.scope, f.key) for f in moved]
-        assert [f.line for f in base] != [f.line for f in moved]
 
 
 class TestCache:
@@ -190,26 +138,21 @@ class TestOutputFormats:
         from repro.lint.flow.output import findings_json
 
         diags = [f.to_diagnostic() for f in _fixture_findings()]
-        payload = json.loads(findings_json(diags, baselined=[], limits={"x": 1}))
-        assert payload["counts"]["new"] == len(diags)
+        payload = json.loads(findings_json(diags, limits={"x": 1}))
+        assert len(payload["findings"]) == len(diags)
         assert payload["limits"] == {"x": 1}
-        assert all(not d["baselined"] for d in payload["findings"])
 
     def test_sarif_format(self) -> None:
         from repro.lint.flow.output import findings_sarif
 
-        findings = _fixture_findings()
-        diags = [f.to_diagnostic() for f in findings[1:]]
-        base = [findings[0].to_diagnostic()]
-        sarif = json.loads(findings_sarif(diags, baselined=base))
+        diags = [f.to_diagnostic() for f in _fixture_findings()]
+        sarif = json.loads(findings_sarif(diags))
         assert sarif["version"] == "2.1.0"
         run = sarif["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-lint"
-        states = [r["baselineState"] for r in run["results"]]
-        assert states.count("unchanged") == 1
-        assert states.count("new") == len(diags)
+        assert [r["level"] for r in run["results"]] == ["error"] * len(diags)
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"epoch-guard", "store-protocol", "batch-race"} <= rule_ids
+        assert {"epoch-guard", "store-protocol"} <= rule_ids
 
 
 class TestCli:
@@ -225,18 +168,11 @@ class TestCli:
     def test_flow_over_src_is_green(self) -> None:
         proc = self._run(str(SRC), "--flow", "--no-cache")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "0 new findings" in proc.stdout
+        assert "flow: 0 findings" in proc.stdout
 
-    def test_flow_fixtures_red_with_sarif(self, tmp_path: Path) -> None:
-        baseline = tmp_path / "empty-baseline.json"
+    def test_flow_fixtures_red_with_sarif(self) -> None:
         proc = self._run(
-            str(FIXTURES),
-            "--flow",
-            "--no-cache",
-            "--format",
-            "sarif",
-            "--baseline",
-            str(baseline),
+            str(FIXTURES), "--flow", "--no-cache", "--format", "sarif"
         )
         assert proc.returncode == 1
         sarif = json.loads(proc.stdout)

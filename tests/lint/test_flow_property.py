@@ -135,53 +135,3 @@ def test_protocol_classification(case: tuple[str, set[str]]) -> None:
     assert expected <= kinds, (source, sorted(kinds))
     # ...and no invented kinds beyond the seeded ones.
     assert kinds <= expected, (source, sorted(kinds))
-
-
-# ---------------------------------------------------------------------------
-# Batch-race generator
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def handler_pair_module(draw: st.DrawFn) -> tuple[str, bool]:
-    attrs = ["queue", "stats", "pending"]
-    a_attr = draw(st.sampled_from(attrs))
-    b_attr = draw(st.sampled_from(attrs))
-    a_writes = draw(st.booleans())
-    b_writes = draw(st.booleans())
-
-    def handler(name: str, attr: str, writes: bool) -> str:
-        op = (
-            f"        self.engine.{attr} = 1"
-            if writes
-            else f"        value = self.engine.{attr}"
-        )
-        return (
-            f"class {name}:\n"
-            '    __slots__ = ("engine",)\n\n'
-            "    def __init__(self, engine: object) -> None:\n"
-            "        self.engine = engine\n\n"
-            "    def __call__(self) -> None:\n"
-            f"{op}\n"
-        )
-
-    source = handler("A", a_attr, a_writes) + "\n\n" + handler(
-        "B", b_attr, b_writes
-    )
-    conflict = a_attr == b_attr and (a_writes or b_writes)
-    return source, conflict
-
-
-@given(handler_pair_module())
-@settings(max_examples=60, deadline=None)
-def test_batch_race_classification(case: tuple[str, bool]) -> None:
-    source, conflict = case
-    findings = [
-        f
-        for f in analyze_sources({"gen": source})
-        if f.rule == "batch-race"
-    ]
-    if conflict:
-        assert findings, source
-    else:
-        assert not findings, source

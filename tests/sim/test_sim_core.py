@@ -226,6 +226,48 @@ class TestSimulator:
         assert sim.now == 7.5
 
 
+class TestTieShuffle:
+    """The ``tie_shuffle`` fixture reorders ties and nothing else."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ties_fire_once_each_out_of_scheduling_order(self, tie_shuffle, seed):
+        tie_shuffle(seed)
+        sim = Simulator()
+        fired = []
+        for i in range(20):
+            sim.at(1.0, lambda i=i: fired.append(i))
+        sim.run()
+        assert sorted(fired) == list(range(20))
+        assert fired != list(range(20))
+
+    def test_later_events_still_fire_later(self, tie_shuffle):
+        tie_shuffle(0)
+        sim = Simulator()
+        fired = []
+        for t in (3.0, 1.0, 2.0, 1.0, 3.0, 2.0):
+            sim.at(t, lambda t=t: fired.append((t, sim.now)))
+        sim.run()
+        assert [t for t, _ in fired] == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        assert all(t == now for t, now in fired)
+
+    def test_zero_delay_child_fires_at_its_parents_time(self, tie_shuffle):
+        tie_shuffle(0)
+        sim = Simulator()
+        fired = []
+
+        def parent(i):
+            fired.append(("parent", i, sim.now))
+            sim.after(0.0, lambda: fired.append(("child", i, sim.now)))
+
+        for i in range(10):
+            sim.at(1.0, lambda i=i: parent(i))
+        sim.at(2.0, lambda: fired.append(("later", None, sim.now)))
+        sim.run()
+        assert fired[-1] == ("later", None, 2.0)
+        for i in range(10):
+            assert fired.index(("parent", i, 1.0)) < fired.index(("child", i, 1.0))
+
+
 class TestChannel:
     def test_duration(self):
         ch = Channel("x", bandwidth=100.0)
