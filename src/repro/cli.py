@@ -255,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="simulator-specific static analysis (determinism, float "
-        "safety, slots hygiene, cluster isolation, typing; --flow adds "
-        "whole-program call-graph passes)",
+        "safety, slots hygiene, cluster isolation, typing)",
     )
     lint.add_argument(
         "paths",
@@ -265,19 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src/repro)",
     )
     lint.add_argument(
-        "--flow",
-        action="store_true",
-        help="run the whole-program analyzer (taint, epoch guards, "
-        "store-protocol typestate); any finding fails",
-    )
-    lint.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
         help="report format",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true", help="bypass the flow summary cache"
     )
     lint.add_argument(
         "--unused-suppressions",
@@ -719,12 +709,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from .lint.checker import run_lint
 
     argv = list(args.paths)
-    if args.flow:
-        argv.append("--flow")
     if args.format != "text":
         argv.extend(["--format", args.format])
-    if args.no_cache:
-        argv.append("--no-cache")
     if args.unused_suppressions:
         argv.append("--unused-suppressions")
     return run_lint(argv)

@@ -23,7 +23,7 @@ from ..config import EngineConfig, HardwareConfig, ServingMode, StoreConfig
 from ..engine.engine import RunResult, ServingEngine, TurnCounter
 from ..engine.metrics import MetricsCollector, RunSummary
 from ..engine.session import SessionState
-from ..faults import FaultConfig, FaultInjector, ReplicaCrash
+from ..faults import FaultConfig, FaultInjector, ReplicaCrash, ReplicaDrain
 from ..models import ModelSpec
 from ..runner.seeds import seed_for
 from ..sanitize import install_cluster, sanitize_enabled
@@ -37,6 +37,10 @@ from .router import NoRoutableReplica, make_router
 
 if TYPE_CHECKING:
     from ..obs.spans import SpanTracer
+
+#: A scheduled lifecycle event as ``(replica, order, event)``; ``order``
+#: 0, 1 and 2 mark a crash's restart, a crash and a drain.
+LifecycleEvent = tuple[int, int, ReplicaCrash | ReplicaDrain]
 
 
 @dataclass(frozen=True, slots=True)
@@ -446,29 +450,61 @@ class ClusterEngine:
     # Replica lifecycle (crash / restart / drain)
     # ------------------------------------------------------------------
     def _schedule_lifecycle(self) -> None:
-        """Arm the run's replica crash/restart/drain events."""
+        """Arm the run's replica crash/restart/drain events.
+
+        Events that share an instant fold into one event, which handles
+        them in replica order (one replica's restart, then its crash,
+        then its drain): a run must not depend on how same-time events
+        are tie-broken (DESIGN.md §12).
+        """
         if self.schedule is None:
             return
+        instants: dict[float, list[LifecycleEvent]] = {}
         for crash in self.schedule.crashes:
-            self.sim.at(crash.at, lambda c=crash: self._crash_replica(c))
-            self.sim.at(
-                crash.restart_at, lambda c=crash: self._restart_replica(c)
-            )
+            instants.setdefault(crash.restart_at, []).append((crash.replica, 0, crash))
+            instants.setdefault(crash.at, []).append((crash.replica, 1, crash))
         for drain in self.schedule.drains:
-            self.sim.at(drain.at, lambda d=drain: self._begin_drain(d.replica))
+            instants.setdefault(drain.at, []).append((drain.replica, 2, drain))
+        for at, events in instants.items():
+            events.sort(key=lambda e: e[:2])
+            self.sim.at(at, lambda events=events: self._lifecycle_instant(events))
 
-    def _crash_replica(self, crash: ReplicaCrash) -> None:
+    def _lifecycle_instant(self, events: list[LifecycleEvent]) -> None:
+        """Apply one instant's lifecycle events in order.
+
+        With failover on, the turns every crash here interrupted are
+        re-routed by one event, in the same order: per-crash events would
+        all share a timestamp, and their routing decisions depend on each
+        other.
+        """
+        now = self.sim.now
+        orphaned: list[tuple[int, float]] = []
+        for _, order, event in events:
+            if isinstance(event, ReplicaDrain):
+                self._begin_drain(event.replica)
+            elif order == 0:
+                self._restart_replica(event)
+            else:
+                orphaned.extend(self._crash_replica(event))
+        if orphaned:
+            self.sim.after(
+                self.cluster.failover_detection_s,
+                lambda: self._failover_turns(orphaned, now, 1),
+            )
+
+    def _crash_replica(self, crash: ReplicaCrash) -> list[tuple[int, float]]:
         """Kill one replica: volatile KV and in-flight turns are gone.
 
-        Interrupted turns are failed over to healthy peers (after the
-        detection delay) or, with failover disabled, parked until the
-        replica restarts.  Sessions mid-think keep their timers; their
-        next turn is handled by :meth:`_route_next_turn` when it fires.
+        Returns the interrupted ``(session_id, arrival_time)`` turns to
+        fail over to healthy peers after the detection delay; with
+        failover disabled they are parked until the replica restarts
+        instead.  Sessions mid-think keep their timers; their next turn
+        is handled by :meth:`_route_next_turn` when it fires.
         """
         index = crash.replica
         life = self.lifecycles[index]
         if life.state in (ReplicaState.DOWN, ReplicaState.STOPPED):
-            return  # already dead, or drained out of the cluster
+            return []  # already dead, or drained out of the cluster
         now = self.sim.now
         life.crash(now)
         self.crashes += 1
@@ -489,17 +525,11 @@ class ClusterEngine:
                 },
             )
         turns = [(r.session_id, r.arrival_time) for r in interrupted]
-        if not self.cluster.failover:
-            self._parked.extend(turns)
-            self.parked_turns += len(turns)
-        elif turns:
-            # One event re-routes every interrupted turn, in the order the
-            # replica held them: per-turn events would all share this
-            # timestamp, and their routing decisions depend on each other.
-            self.sim.after(
-                self.cluster.failover_detection_s,
-                lambda: self._failover_turns(turns, now, 1),
-            )
+        if self.cluster.failover:
+            return turns
+        self._parked.extend(turns)
+        self.parked_turns += len(turns)
+        return []
 
     def _failover_turns(
         self,

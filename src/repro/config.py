@@ -12,6 +12,7 @@ Three dataclasses describe a run:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any
@@ -140,6 +141,16 @@ class StoreConfig:
     prefetch_capacity_fraction: float = 0.7
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so a NaN TTL would silently
+        # turn expiry off; reject non-finite floats by name first.
+        for name in (
+            "ttl_seconds",
+            "dram_buffer_fraction",
+            "prefetch_capacity_fraction",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.block_bytes <= 0:
             raise ValueError(f"block_bytes must be positive, got {self.block_bytes}")
         if self.dram_bytes < 0 or self.ssd_bytes < 0 or self.hbm_cache_bytes < 0:

@@ -7,18 +7,18 @@ paths that accumulate simulated time, allocation hygiene (``slots`` on
 hot-path dataclasses) and the cluster-isolation contract (a replica's
 AttentionStore may only be touched by foreign code through the migration
 API).  This package turns those implicit contracts into machine-checked
-ones: an AST pass over ``src/repro`` with rules catalogued in
+ones: a per-file AST pass over ``src/repro`` with rules catalogued in
 :mod:`repro.lint.rules`, driven by :func:`lint_paths`.
 
-On top of the per-file rules, :mod:`repro.lint.flow` runs whole-program
-passes over a project symbol table and call graph — transitive
-determinism taint, epoch-guard verification for continuations, and the
-store's exactly-one-copy protocol typestate — behind ``--flow``.  Any
-finding fails; there is no baseline.
+The properties a per-file pass cannot see are checked at run time
+instead (DESIGN.md §9): SimSan's exactly-one-copy and store invariants,
+crash-in-flight tests for the epoch-guarded continuations, and golden
+replays that must not move under perturbed hash seeds, host clocks,
+global RNGs, GC thresholds and same-timestamp tie order.
 
 Run it as ``python -m repro.cli lint src/repro`` (or ``python -m
-repro.lint src/repro``); add ``--flow`` for the whole-program analyzer
-and ``--unused-suppressions`` for the dead-suppression audit.
+repro.lint src/repro``); ``--format json|sarif`` for machine output and
+``--unused-suppressions`` for the dead-suppression audit.
 Configuration lives in ``[tool.repro-lint]`` in ``pyproject.toml``.
 Suppressions are inline and must carry a justification:
 ``# repro-lint: allow=<rule> (<why this is safe>)``.
@@ -31,15 +31,13 @@ from .checker import (
     lint_source,
     unused_suppression_report,
 )
-from .config import FlowOptions, LintConfig, load_config
+from .config import LintConfig, load_config
 from .diagnostics import Diagnostic
-from .rules import ALL_RULE_NAMES, FLOW_RULE_CODES, RULES, Rule
+from .rules import ALL_RULE_NAMES, RULES, Rule
 
 __all__ = [
     "ALL_RULE_NAMES",
     "Diagnostic",
-    "FLOW_RULE_CODES",
-    "FlowOptions",
     "LintConfig",
     "RULES",
     "Rule",

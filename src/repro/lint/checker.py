@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .config import LintConfig, load_config
 from .diagnostics import Diagnostic
@@ -63,70 +63,22 @@ def statement_spans(tree: ast.Module) -> dict[int, tuple[int, int]]:
     return spans
 
 
-class SpanAllows:
-    """Suppression matching over statement spans, with usage tracking.
+class Suppressions:
+    """Per-file suppression comments: parse, validate, match.
 
-    Built either from source text plus a parsed tree, or (for the flow
-    analyzer's cached summaries) from pre-extracted ``(line, rules)``
-    pairs and spans.  ``allows`` records which comments matched so the
+    A comment anywhere on a statement's span covers findings anchored on
+    that statement.  ``used`` records which comments matched so the
     ``--unused-suppressions`` audit can report the ones that never fire.
     """
 
     def __init__(
-        self,
-        by_line: dict[int, frozenset[str]],
-        spans: dict[int, tuple[int, int]],
-    ) -> None:
-        self.by_line = by_line
-        self.spans = spans
-        self.used: set[tuple[int, str]] = set()
-
-    def _candidates(self, line: int) -> Iterator[int]:
-        span = self.spans.get(line)
-        if span is None:
-            yield line
-            return
-        yield from range(span[0], span[1] + 1)
-
-    def allows(self, line: int, rule: str) -> bool:
-        """Whether a finding of ``rule`` anchored at ``line`` is allowed."""
-        for candidate in self._candidates(line):
-            allowed = self.by_line.get(candidate)
-            if allowed is not None and rule in allowed:
-                self.used.add((candidate, rule))
-                return True
-        return False
-
-    def unused(self, path: str) -> list[Diagnostic]:
-        """Suppression comments whose rule never fired on their statement."""
-        out: list[Diagnostic] = []
-        for line, rules in sorted(self.by_line.items()):
-            for rule in sorted(rules):
-                if rule not in ALL_RULE_NAMES:
-                    continue  # already reported as a bare-allow finding
-                if (line, rule) not in self.used:
-                    out.append(
-                        Diagnostic(
-                            path,
-                            line,
-                            0,
-                            UNUSED_SUPPRESSION,
-                            f"suppression for '{rule}' never fires on this "
-                            "statement; remove the dead allow comment",
-                        )
-                    )
-        return out
-
-
-class Suppressions:
-    """Per-file suppression comments: parse, validate, match."""
-
-    def __init__(
         self, path: str, source: str, tree: ast.Module | None = None
     ) -> None:
-        by_line: dict[int, frozenset[str]] = {}
+        self.path = path
+        self.by_line: dict[int, frozenset[str]] = {}
         self.bare: list[Diagnostic] = []
         self.unknown: list[Diagnostic] = []
+        self.used: set[tuple[int, str]] = set()
         for lineno, text in enumerate(source.splitlines(), start=1):
             match = _ALLOW_RE.search(text)
             if match is None:
@@ -158,16 +110,44 @@ class Suppressions:
                             f"suppression names unknown rule '{name}'",
                         )
                     )
-            by_line[lineno] = rules
-        spans = statement_spans(tree) if tree is not None else {}
-        self.matcher = SpanAllows(by_line, spans)
+            self.by_line[lineno] = rules
+        self.spans = statement_spans(tree) if tree is not None else {}
 
-    @property
-    def by_line(self) -> dict[int, frozenset[str]]:
-        return self.matcher.by_line
+    def _candidates(self, line: int) -> Iterator[int]:
+        span = self.spans.get(line)
+        if span is None:
+            yield line
+            return
+        yield from range(span[0], span[1] + 1)
 
     def allows(self, line: int, rule: str) -> bool:
-        return self.matcher.allows(line, rule)
+        """Whether a finding of ``rule`` anchored at ``line`` is allowed."""
+        for candidate in self._candidates(line):
+            allowed = self.by_line.get(candidate)
+            if allowed is not None and rule in allowed:
+                self.used.add((candidate, rule))
+                return True
+        return False
+
+    def unused(self) -> list[Diagnostic]:
+        """Suppression comments whose rule never fired on their statement."""
+        out: list[Diagnostic] = []
+        for line, rules in sorted(self.by_line.items()):
+            for rule in sorted(rules):
+                if rule not in ALL_RULE_NAMES:
+                    continue  # already reported as a bare-allow finding
+                if (line, rule) not in self.used:
+                    out.append(
+                        Diagnostic(
+                            self.path,
+                            line,
+                            0,
+                            UNUSED_SUPPRESSION,
+                            f"suppression for '{rule}' never fires on this "
+                            "statement; remove the dead allow comment",
+                        )
+                    )
+        return out
 
 
 def lint_module(
@@ -288,40 +268,10 @@ def lint_paths(
 
 
 def unused_suppression_report(
-    suppression_sets: Sequence[Mapping[str, Suppressions | SpanAllows]],
+    suppressions: Mapping[str, Suppressions],
 ) -> list[Diagnostic]:
-    """Merge usage across analysis layers; report never-firing allows.
-
-    A comment is *used* when any layer (per-file rules, flow passes)
-    matched it; only comments unused by every layer are dead.
-    """
-    comments: dict[tuple[str, int], set[str]] = {}
-    used: set[tuple[str, int, str]] = set()
-    matchers: dict[str, list[SpanAllows]] = {}
-    for layer in suppression_sets:
-        for path, entry in layer.items():
-            matcher = entry.matcher if isinstance(entry, Suppressions) else entry
-            matchers.setdefault(path, []).append(matcher)
-            for line, rules in matcher.by_line.items():
-                comments.setdefault((path, line), set()).update(rules)
-            for line, rule in matcher.used:
-                used.add((path, line, rule))
-    out: list[Diagnostic] = []
-    for (path, line), rules in sorted(comments.items()):
-        for rule in sorted(rules):
-            if rule not in ALL_RULE_NAMES:
-                continue
-            if (path, line, rule) not in used:
-                out.append(
-                    Diagnostic(
-                        path,
-                        line,
-                        0,
-                        UNUSED_SUPPRESSION,
-                        f"suppression for '{rule}' never fires on this "
-                        "statement; remove the dead allow comment",
-                    )
-                )
+    """Every allow comment, across files, whose rule never fired."""
+    out = [d for sup in suppressions.values() for d in sup.unused()]
     out.sort(key=Diagnostic.sort_key)
     return out
 
@@ -343,29 +293,16 @@ def run_lint(argv: list[str] | None = None) -> int:
         help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
-        "--flow",
-        action="store_true",
-        help="run the whole-program analyzer (call-graph taint, epoch "
-        "guards, store-protocol typestate) instead of the per-file rules; "
-        "any finding fails",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
         help="report format",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the flow summary cache",
-    )
-    parser.add_argument(
         "--unused-suppressions",
         action="store_true",
         help="audit mode: report `# repro-lint: allow=` comments whose "
-        "rule never fires on their statement (add --flow to credit "
-        "flow-rule suppressions too)",
+        "rule never fires on their statement",
     )
     args = parser.parse_args(argv)
     paths = [Path(p) for p in args.paths]
@@ -374,35 +311,17 @@ def run_lint(argv: list[str] | None = None) -> int:
     if args.unused_suppressions:
         per_file: dict[str, Suppressions] = {}
         lint_paths(paths, config, suppressions_out=per_file)
-        layers: list[Mapping[str, Suppressions | SpanAllows]] = [per_file]
-        if args.flow:
-            from .flow import analyze_paths
-
-            flow_result = analyze_paths(
-                paths, config, use_cache=not args.no_cache
-            )
-            layers.append(flow_result.suppressions)
-        dead = unused_suppression_report(layers)
+        dead = unused_suppression_report(per_file)
         print(format_report(dead))
         return 1 if dead else 0
 
-    if args.flow:
-        from .flow import run_flow
-
-        return run_flow(
-            paths,
-            config,
-            report_format=args.format,
-            use_cache=not args.no_cache,
-        )
-
     diagnostics = lint_paths(paths, config)
     if args.format == "json":
-        from .flow.output import findings_json
+        from .output import findings_json
 
-        print(findings_json(diagnostics, limits={}))
+        print(findings_json(diagnostics))
     elif args.format == "sarif":
-        from .flow.output import findings_sarif
+        from .output import findings_sarif
 
         print(findings_sarif(diagnostics))
     else:

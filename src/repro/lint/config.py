@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 try:  # tomllib is 3.11+; on 3.10 we fall back to the built-in defaults.
     import tomllib
@@ -59,18 +59,6 @@ DEFAULT_STORE_MIGRATION_API = frozenset(
 
 
 @dataclass(frozen=True, slots=True)
-class FlowOptions:
-    """Options for the whole-program analyzer (``[tool.repro-lint.flow]``)."""
-
-    #: Per-file summary cache path (relative to the pyproject root);
-    #: ``None`` disables caching.
-    cache: str | None = ".repro-lint-cache/flow.json"
-    #: Path-enumeration budget per function for the store-protocol pass;
-    #: functions exceeding it are skipped and counted in the limits report.
-    max_paths: int = 256
-
-
-@dataclass(frozen=True, slots=True)
 class LintConfig:
     """Effective rule configuration."""
 
@@ -81,22 +69,12 @@ class LintConfig:
     store_migration_api: frozenset[str] = field(
         default_factory=lambda: DEFAULT_STORE_MIGRATION_API
     )
-    flow: FlowOptions = field(default_factory=FlowOptions)
-    #: Validated per-rule option tables
-    #: (``[tool.repro-lint.rule-options.<rule>]``), keyed by rule name.
-    rule_options: Mapping[str, Mapping[str, Any]] = field(
-        default_factory=dict
-    )
 
     def in_scope(self, module: str, packages: tuple[str, ...]) -> bool:
         """True when ``module`` lives inside any of ``packages``."""
         return any(
             module == pkg or module.startswith(pkg + ".") for pkg in packages
         )
-
-    def options_for(self, rule: str) -> Mapping[str, Any]:
-        """The validated option table for ``rule`` (empty when unset)."""
-        return self.rule_options.get(rule, {})
 
 
 def _as_str_tuple(value: Any, key: str) -> tuple[str, ...]:
@@ -124,74 +102,6 @@ def _validated_rule_names(value: Any, key: str) -> frozenset[str]:
     return frozenset(names)
 
 
-def _flow_options_from_mapping(data: Any) -> FlowOptions:
-    """Parse and validate the ``[tool.repro-lint.flow]`` table."""
-    if not isinstance(data, dict):
-        raise TypeError("[tool.repro-lint.flow] must be a table")
-    known = {"cache", "max-paths"}
-    unknown = set(data) - known
-    if unknown:
-        raise KeyError(
-            f"unknown [tool.repro-lint.flow] keys: {', '.join(sorted(unknown))}"
-        )
-    opts = FlowOptions()
-    if "cache" in data:
-        cache = data["cache"]
-        if not (cache is None or isinstance(cache, str)):
-            raise TypeError(
-                "[tool.repro-lint.flow] cache must be a string path or "
-                "absent; use cache = \"\" to disable"
-            )
-        opts = replace(opts, cache=cache or None)
-    if "max-paths" in data:
-        max_paths = data["max-paths"]
-        if not isinstance(max_paths, int) or isinstance(max_paths, bool) or max_paths < 1:
-            raise TypeError(
-                "[tool.repro-lint.flow] max-paths must be a positive integer"
-            )
-        opts = replace(opts, max_paths=max_paths)
-    return opts
-
-
-def _rule_options_from_mapping(data: Any) -> dict[str, dict[str, Any]]:
-    """Parse and validate ``[tool.repro-lint.rule-options.<rule>]`` tables.
-
-    Every table key must be a known rule name, the value must itself be a
-    table, and every option key must be one the rule declares
-    (:data:`repro.lint.rules.RULE_OPTION_KEYS`) — rules without declared
-    options accept none.
-    """
-    from .rules import ALL_RULE_NAMES, RULE_OPTION_KEYS
-
-    if not isinstance(data, dict):
-        raise TypeError("[tool.repro-lint.rule-options] must be a table")
-    validated: dict[str, dict[str, Any]] = {}
-    for rule, options in data.items():
-        if rule not in ALL_RULE_NAMES:
-            raise KeyError(
-                f"[tool.repro-lint.rule-options] names unknown rule "
-                f"'{rule}'; known rules: {', '.join(sorted(ALL_RULE_NAMES))}"
-            )
-        if not isinstance(options, dict):
-            raise TypeError(
-                f"[tool.repro-lint.rule-options.{rule}] must be a table"
-            )
-        allowed = RULE_OPTION_KEYS.get(rule, frozenset())
-        for key in options:
-            if key not in allowed:
-                accepted = (
-                    f"accepted options: {', '.join(sorted(allowed))}"
-                    if allowed
-                    else "this rule accepts no options"
-                )
-                raise KeyError(
-                    f"[tool.repro-lint.rule-options.{rule}] has unknown "
-                    f"option '{key}'; {accepted}"
-                )
-        validated[rule] = dict(options)
-    return validated
-
-
 def config_from_mapping(data: dict[str, Any]) -> LintConfig:
     """Build a :class:`LintConfig` from a parsed ``[tool.repro-lint]`` table."""
     cfg = LintConfig()
@@ -201,8 +111,6 @@ def config_from_mapping(data: dict[str, Any]) -> LintConfig:
         "slots-packages",
         "cluster-packages",
         "store-migration-api",
-        "flow",
-        "rule-options",
     }
     unknown = set(data) - known
     if unknown:
@@ -211,12 +119,6 @@ def config_from_mapping(data: dict[str, Any]) -> LintConfig:
         )
     if "disable" in data:
         cfg = replace(cfg, disable=_validated_rule_names(data["disable"], "disable"))
-    if "flow" in data:
-        cfg = replace(cfg, flow=_flow_options_from_mapping(data["flow"]))
-    if "rule-options" in data:
-        cfg = replace(
-            cfg, rule_options=_rule_options_from_mapping(data["rule-options"])
-        )
     if "hot-path-packages" in data:
         cfg = replace(
             cfg,

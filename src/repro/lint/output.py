@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 from typing import Any, Sequence
 
-from ..diagnostics import Diagnostic
-from ..rules import FLOW_RULE_CODES, RULES
+from .diagnostics import Diagnostic
+from .rules import RULES
 
 _TOOL_NAME = "repro-lint"
 _SARIF_VERSION = "2.1.0"
@@ -17,24 +17,14 @@ _SARIF_SCHEMA = (
 
 
 def _rule_catalogue() -> list[dict[str, Any]]:
-    entries: list[dict[str, Any]] = []
-    for rule in RULES:
-        entries.append(
-            {
-                "id": rule.name,
-                "name": rule.code,
-                "shortDescription": {"text": rule.name},
-            }
-        )
-    for name in sorted(FLOW_RULE_CODES):
-        entries.append(
-            {
-                "id": name,
-                "name": FLOW_RULE_CODES[name],
-                "shortDescription": {"text": name},
-            }
-        )
-    return entries
+    return [
+        {
+            "id": rule.name,
+            "name": rule.code,
+            "shortDescription": {"text": rule.name},
+        }
+        for rule in RULES
+    ]
 
 
 def _diag_payload(diag: Diagnostic) -> dict[str, Any]:
@@ -47,14 +37,10 @@ def _diag_payload(diag: Diagnostic) -> dict[str, Any]:
     }
 
 
-def findings_json(
-    diagnostics: Sequence[Diagnostic],
-    limits: dict[str, int] | None = None,
-) -> str:
+def findings_json(diagnostics: Sequence[Diagnostic]) -> str:
     payload = {
         "tool": _TOOL_NAME,
         "findings": [_diag_payload(d) for d in diagnostics],
-        "limits": dict(limits) if limits else {},
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -569,42 +569,5 @@ RULES: tuple[Rule, ...] = (
     UntypedDefRule(),
 )
 
-RULES_BY_NAME: dict[str, Rule] = {rule.name: rule for rule in RULES}
-
-# ---------------------------------------------------------------------------
-# Interprocedural (flow) rules — implemented in repro.lint.flow
-# ---------------------------------------------------------------------------
-
-#: Rule names emitted by the whole-program analyzer (``repro lint --flow``).
-#: Registered here so inline suppressions naming them validate, and so the
-#: config layer can check ``disable`` entries without importing the (much
-#: heavier) flow package.
-#:
-#: ======  ====================  ==============================================
-#: code    name                  what it enforces
-#: ======  ====================  ==============================================
-#: REP601  flow-wall-clock       no call path reaches a wall-clock read
-#: REP602  flow-unseeded-random  no call path reaches global/unseeded RNG
-#: REP603  flow-order            no call path reaches hash/set-order state
-#: REP611  epoch-guard           epoch-slotted continuations guard their fire
-#: REP621  store-protocol        exactly-one-copy store lifecycle typestate
-#: ======  ====================  ==============================================
-FLOW_RULE_CODES: dict[str, str] = {
-    "flow-wall-clock": "REP601",
-    "flow-unseeded-random": "REP602",
-    "flow-order": "REP603",
-    "epoch-guard": "REP611",
-    "store-protocol": "REP621",
-}
-
-FLOW_RULE_NAMES: frozenset[str] = frozenset(FLOW_RULE_CODES)
-
 #: Every rule name a config or suppression may legally reference.
-ALL_RULE_NAMES: frozenset[str] = frozenset(RULES_BY_NAME) | FLOW_RULE_NAMES
-
-#: Option keys each rule accepts in ``[tool.repro-lint.rule-options.<rule>]``.
-#: Rules without an entry accept no options; naming one is a config error.
-RULE_OPTION_KEYS: dict[str, frozenset[str]] = {
-    "store-protocol": frozenset({"max-paths"}),
-    "epoch-guard": frozenset({"benign-calls"}),
-}
+ALL_RULE_NAMES: frozenset[str] = frozenset(rule.name for rule in RULES)

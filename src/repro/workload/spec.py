@@ -87,6 +87,17 @@ class WorkloadSpec:
     n_shared_prefixes: int = 1
 
     def __post_init__(self) -> None:
+        for name in (
+            "arrival_rate",
+            "p_multi_turn",
+            "mean_turns",
+            "think_time_mean",
+            "think_time_sigma",
+            "shared_prefix_fraction",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_sessions <= 0:
             raise ValueError(f"n_sessions must be positive, got {self.n_sessions}")
         if self.arrival_rate <= 0:

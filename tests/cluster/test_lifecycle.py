@@ -10,6 +10,7 @@ returns — the naive-restart baseline.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,13 @@ from repro.cluster import (
     RouterName,
 )
 from repro.config import EngineConfig, StoreConfig
+from repro.engine import ServingEngine
+from repro.engine.continuations import (
+    DecodeChunkDone,
+    PrefillSliceDone,
+    SaveBlockDone,
+    TtlSweep,
+)
 from repro.faults import (
     FaultConfig,
     ReplicaCrash,
@@ -28,6 +36,7 @@ from repro.faults import (
     ReplicaFaultSchedule,
 )
 from repro.models import get_model
+from repro.sim import Simulator
 from repro.workload import WorkloadSpec, generate_trace
 
 MODEL = get_model("llama-13b")
@@ -55,6 +64,7 @@ def run_chaos(
     router=RouterName.AFFINITY,
     trace=None,
     store_config=None,
+    engine_config=None,
     sanitize=None,
 ):
     engine = ClusterEngine(
@@ -62,7 +72,7 @@ def run_chaos(
         cluster=ClusterConfig(
             n_instances=n_instances, router=router, failover=failover
         ),
-        engine_config=EngineConfig(batch_size=8),
+        engine_config=engine_config or EngineConfig(batch_size=8),
         store_config=store_config or StoreConfig(),
         fault_config=FaultConfig(seed=3, replica_schedule=schedule),
         sanitize=sanitize,
@@ -140,6 +150,114 @@ class TestCrashRestart:
         trace = chaos_trace()
         _, result = run_chaos(schedule, trace=trace, sanitize=True)
         assert result.summary.n_turns == trace.n_turns_total
+
+
+#: Continuations that carry the crash epoch they were scheduled under and
+#: must no-op when they fire after a crash.
+EPOCH_GUARDED = (PrefillSliceDone, DecodeChunkDone, SaveBlockDone, TtlSweep)
+
+#: The engine handlers those continuations run; a down replica runs none.
+GUARDED_HANDLERS = (
+    "_on_prefill_slice_done",
+    "_on_decode_chunk_done",
+    "_on_save_block_done",
+    "_ttl_sweep",
+)
+
+
+def in_flight_window(cls, replica=1, after=30.0, **run_kwargs):
+    """``(scheduled, due)`` of the first ``cls`` continuation that
+    ``replica`` schedules after ``after`` seconds in an uncrashed run.
+
+    A crash anywhere inside the window finds that continuation in the
+    heap: runs are deterministic, and the crash event fires at a time no
+    other event shares, so the replay up to the crash is the same.
+    """
+    windows = []
+    schedule = Simulator.after
+
+    def spy(sim, delay, callback):
+        if (
+            isinstance(callback, cls)
+            and callback.engine.name == f"replica-{replica}"
+            and sim.now > after
+        ):
+            windows.append((sim.now, sim.now + delay))
+        schedule(sim, delay, callback)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulator, "after", spy)
+        run_chaos(None, **run_kwargs)
+    return windows[0]
+
+
+@pytest.fixture
+def crash_probe(monkeypatch):
+    """Record stale fires per guarded class and every guarded handler run.
+
+    ``stale[name]`` counts fires of that continuation class after the
+    engine's epoch moved on; ``handled`` lists ``(replica, time)`` for
+    every handler a guarded continuation reached.
+    """
+    stale = Counter()
+    handled = []
+    for cls in EPOCH_GUARDED:
+
+        def fire(self, call=cls.__call__, name=cls.__name__):
+            if self.engine._epoch != self.epoch:
+                stale[name] += 1
+            call(self)
+
+        monkeypatch.setattr(cls, "__call__", fire)
+    for name in GUARDED_HANDLERS:
+
+        def handler(self, *args, run=getattr(ServingEngine, name)):
+            handled.append((self.name, self.sim.now))
+            run(self, *args)
+
+        monkeypatch.setattr(ServingEngine, name, handler)
+    return stale, handled
+
+
+class TestCrashInFlight:
+    """A crash while a guarded continuation is in the heap: the stale
+    event must fire and do nothing.  Without its epoch guard it would run
+    the handler on a dead replica (and release a GPU nobody holds)."""
+
+    #: Per class, the run that schedules it on replica 1: save blocks need
+    #: the synchronous write-back, sweeps need a TTL.
+    RUNS = {
+        PrefillSliceDone: {},
+        DecodeChunkDone: {},
+        SaveBlockDone: {
+            "engine_config": EngineConfig(batch_size=8, enable_async_save=False)
+        },
+        TtlSweep: {"store_config": StoreConfig(ttl_seconds=300.0)},
+    }
+
+    @pytest.mark.parametrize("cls", EPOCH_GUARDED, ids=lambda c: c.__name__)
+    def test_stale_continuation_is_a_no_op(self, cls, crash_probe):
+        run_kwargs = self.RUNS[cls]
+        scheduled, due = in_flight_window(cls, **run_kwargs)
+        at = (scheduled + due) / 2
+        # Down for longer than the window (120 s for a TTL sweep), so
+        # the stale event fires while the replica is down.
+        crash = ReplicaCrash(at=at, replica=1, downtime=150.0)
+        stale, handled = crash_probe
+        stale.clear()  # forget the uncrashed probe run
+        handled.clear()
+        trace = chaos_trace()
+        engine, result = run_chaos(
+            ReplicaFaultSchedule(crashes=(crash,)), trace=trace, **run_kwargs
+        )
+        assert stale[cls.__name__] >= 1
+        assert result.summary.n_turns == trace.n_turns_total
+        assert engine.lifecycles[1].restarts == 1
+        dead = [
+            t for name, t in handled
+            if name == "replica-1" and crash.at <= t < crash.restart_at
+        ]
+        assert dead == []
 
 
 class TestDrain:

@@ -1,10 +1,12 @@
 """Suppressions, module-name inference, report plumbing."""
 
+import json
 from pathlib import Path
 
 from repro.lint import LintConfig, lint_paths, lint_source
 from repro.lint.checker import module_name_for
 from repro.lint.diagnostics import format_report
+from repro.lint.output import findings_json, findings_sarif
 
 
 class TestSuppressions:
@@ -43,8 +45,8 @@ class TestSuppressions:
         assert [d.rule for d in diags] == ["float-eq"]
 
     def test_allow_unknown_rule_is_a_finding(self):
-        # ``batch-race`` was a flow rule; naming it now is an error too.
-        for rule in ("made-up-rule", "batch-race"):
+        # Rules of the retired whole-program analyzer are unknown too.
+        for rule in ("made-up-rule", "batch-race", "epoch-guard", "store-protocol"):
             source = f"x = 1  # repro-lint: allow={rule} (because)\n"
             diags = lint_source(source, module="repro.sim.x")
             assert [d.rule for d in diags] == ["bare-allow"]
@@ -97,3 +99,27 @@ class TestReport:
         assert "mod.py:2:" in report
         assert "[wall-clock]" in report
         assert "1 finding(s)" in report
+
+
+class TestOutputFormats:
+    DIRTY = "import time\nt = time.time()\nu = time.time()\n"
+
+    def test_json_format(self):
+        diags = lint_source(self.DIRTY, path="mod.py", module="repro.sim.x")
+        payload = json.loads(findings_json(diags))
+        assert payload["tool"] == "repro-lint"
+        assert [(f["line"], f["rule"]) for f in payload["findings"]] == [
+            (2, "wall-clock"),
+            (3, "wall-clock"),
+        ]
+
+    def test_sarif_format(self):
+        diags = lint_source(self.DIRTY, path="mod.py", module="repro.sim.x")
+        sarif = json.loads(findings_sarif(diags))
+        assert sarif["version"] == "2.1.0"
+        run = sarif["runs"][0]
+        assert run["tool"]["driver"]["name"] == "repro-lint"
+        assert [r["level"] for r in run["results"]] == ["error"] * len(diags)
+        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
+        assert "wall-clock" in rule_ids
+        assert "epoch-guard" not in rule_ids

@@ -1,4 +1,4 @@
-"""Checker edge cases: odd files, spans, suppressions, audit merging."""
+"""Checker edge cases: odd files, spans, suppressions, the unused audit."""
 
 from __future__ import annotations
 
@@ -116,7 +116,7 @@ class TestUnusedSuppressionAudit:
         import ast
 
         sup = Suppressions("f.py", src, ast.parse(src))
-        report = unused_suppression_report([{"f.py": sup}])
+        report = unused_suppression_report({"f.py": sup})
         assert [d.rule for d in report] == ["unused-suppression"]
         assert "wall-clock" in report[0].message
 
@@ -127,22 +127,4 @@ class TestUnusedSuppressionAudit:
         )
         diags, sup = lint_module(src, path="f.py", module="repro.sim.x")
         assert diags == [] and sup is not None
-        assert unused_suppression_report([{"f.py": sup}]) == []
-
-    def test_usage_merges_across_layers(self) -> None:
-        # A flow-rule allow looks dead to the per-file layer; crediting
-        # usage from the flow layer keeps it alive.
-        import ast
-
-        src = "x = f()  # repro-lint: allow=flow-wall-clock (boundary)\n"
-        tree = ast.parse(src)
-        per_file = Suppressions("f.py", src, tree)
-        flow_layer = Suppressions("f.py", src, tree)
-        assert unused_suppression_report(
-            [{"f.py": per_file}, {"f.py": flow_layer}]
-        ) != []
-        flow_layer.allows(1, "flow-wall-clock")
-        assert (
-            unused_suppression_report([{"f.py": per_file}, {"f.py": flow_layer}])
-            == []
-        )
+        assert unused_suppression_report({"f.py": sup}) == []

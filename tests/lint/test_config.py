@@ -45,67 +45,34 @@ class TestMapping:
         with pytest.raises(KeyError, match="flaot-eq"):
             config_from_mapping({"disable": ["float-eq", "flaot-eq"]})
         # A rule that no longer exists is as unknown as a typo.
-        with pytest.raises(KeyError, match="batch-race"):
-            config_from_mapping({"disable": ["batch-race"]})
-
-    def test_flow_rule_names_are_disableable(self):
-        cfg = config_from_mapping({"disable": ["store-protocol", "epoch-guard"]})
-        assert cfg.disable == frozenset({"store-protocol", "epoch-guard"})
+        for gone in ("batch-race", "store-protocol", "epoch-guard"):
+            with pytest.raises(KeyError, match=gone):
+                config_from_mapping({"disable": [gone]})
 
 
 class TestRuleOptions:
-    def test_valid_rule_options(self):
-        cfg = config_from_mapping(
-            {"rule-options": {"epoch-guard": {"benign-calls": ["log"]}}}
-        )
-        assert cfg.options_for("epoch-guard") == {"benign-calls": ["log"]}
-        assert cfg.options_for("store-protocol") == {}
-
     def test_unknown_rule_name_rejected(self):
-        for rule in ("no-such-rule", "batch-race"):
-            with pytest.raises(KeyError, match=rule):
+        # Only the removed whole-program rules declared options, so the
+        # rule-options table is gone: a leftover one fails naming itself,
+        # whichever rule it names.
+        for rule in ("no-such-rule", "batch-race", "store-protocol"):
+            with pytest.raises(KeyError, match="rule-options"):
                 config_from_mapping(
-                    {"rule-options": {rule: {"ignore-attrs": ["engine.stats"]}}}
+                    {"rule-options": {rule: {"max-paths": 5}}}
                 )
-
-    def test_unknown_option_key_rejected(self):
-        with pytest.raises(KeyError, match="max-pahts"):
-            config_from_mapping(
-                {"rule-options": {"store-protocol": {"max-pahts": 5}}}
-            )
-
-    def test_rule_without_declared_options_accepts_none(self):
-        with pytest.raises(KeyError, match="accepts no options"):
-            config_from_mapping({"rule-options": {"wall-clock": {"x": 1}}})
-
-    def test_option_table_must_be_table(self):
-        with pytest.raises(TypeError):
-            config_from_mapping({"rule-options": {"store-protocol": "nope"}})
 
 
 class TestFlowOptions:
-    def test_defaults(self):
-        cfg = config_from_mapping({})
-        assert cfg.flow.cache == ".repro-lint-cache/flow.json"
-        assert cfg.flow.max_paths == 256
-
-    def test_overrides(self):
-        cfg = config_from_mapping({"flow": {"max-paths": 8, "cache": ""}})
-        assert cfg.flow.max_paths == 8
-        assert cfg.flow.cache is None
-
     def test_unknown_flow_key_rejected(self):
-        with pytest.raises(KeyError, match="cachepath"):
-            config_from_mapping({"flow": {"cachepath": "x"}})
-        # The flow baseline is gone; a leftover key must not pass silently.
-        with pytest.raises(KeyError, match="baseline"):
-            config_from_mapping({"flow": {"baseline": "lint-flow-baseline.json"}})
-
-    def test_max_paths_must_be_positive_int(self):
-        with pytest.raises(TypeError):
-            config_from_mapping({"flow": {"max-paths": 0}})
-        with pytest.raises(TypeError):
-            config_from_mapping({"flow": {"max-paths": True}})
+        # The whole-program analyzer is gone with its [flow] table; any
+        # leftover flow key fails naming the table, not pass silently.
+        for flow in (
+            {"cachepath": "x"},
+            {"baseline": "lint-flow-baseline.json"},
+            {"cache": "", "max-paths": 8},
+        ):
+            with pytest.raises(KeyError, match="flow"):
+                config_from_mapping({"flow": flow})
 
 
 class TestScope:

@@ -50,3 +50,16 @@ def test_cli_lint_nonzero_on_findings(tmp_path):
     )
     assert proc.returncode == 1
     assert "wall-clock" in proc.stdout
+
+
+def test_cli_lint_rejects_flow_flag():
+    """The whole-program analyzer is gone; ``--flow`` is an unknown argument."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "lint", str(SRC), "--flow"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env=_env_with_src(),
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --flow" in proc.stderr

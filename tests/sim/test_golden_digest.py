@@ -1,17 +1,36 @@
 """Golden digests of two full replays: the simulation core's oracle.
 
-Each test replays a fixed workload with a span tracer attached and hashes
+Each replay runs a fixed workload with a span tracer attached and hashes
 everything the run exposes: ``repr`` of the result, the event count, the
 final clock, and every span, counter sample and async span the tracer
 recorded.  The digests were recorded on the simulator before its queue
 was reduced to a single heap, so any change to dispatch order, event
 count or timing anywhere in the engine, store or cluster shows up here.
 
+The same digests must also come out when the replay runs under inputs
+the model must ignore (DESIGN.md §12): another ``PYTHONHASHSEED`` (in a
+subprocess), host clocks that return random values, reseeded global
+``random`` and NumPy RNGs, and other GC thresholds.  That is the run-time
+evidence that no host clock, global RNG, hash order or collector timing
+reaches simulated state.
+
 A digest mismatch means a run changed.  If the change is intended, record
 the new digest and say in the commit why the run moved.
+
+``python tests/sim/test_golden_digest.py`` prints both digests.
 """
 
+import gc
 import hashlib
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from repro.cluster import ClusterConfig, ClusterEngine
 from repro.config import EngineConfig, StoreConfig
@@ -45,7 +64,7 @@ def run_digest(result, sim, tracer) -> str:
     return h.hexdigest()
 
 
-def test_tight_dram_replay_digest():
+def tight_dram_replay() -> str:
     engine = ServingEngine(
         get_model("llama-13b"),
         engine_config=EngineConfig(batch_size=8),
@@ -54,10 +73,10 @@ def test_tight_dram_replay_digest():
     tracer = SpanTracer()
     tracer.attach_engine(engine)
     result = engine.run(generate_trace(WorkloadSpec(n_sessions=50, seed=17)))
-    assert run_digest(result, engine.sim, tracer) == TIGHT_DRAM_DIGEST
+    return run_digest(result, engine.sim, tracer)
 
 
-def test_chaos_cluster_replay_digest():
+def chaos_cluster_replay() -> str:
     cluster = ClusterEngine(
         get_model("llama-13b"),
         cluster=ClusterConfig(n_instances=3),
@@ -69,4 +88,91 @@ def test_chaos_cluster_replay_digest():
     trace = generate_trace(WorkloadSpec(n_sessions=120, arrival_rate=0.2, seed=29))
     result = cluster.run(trace)
     assert result.crashes == 1
-    assert run_digest(result, cluster.sim, tracer) == CHAOS_CLUSTER_DIGEST
+    return run_digest(result, cluster.sim, tracer)
+
+
+#: Replay name -> (replay, its golden digest).
+REPLAYS = {
+    "tight-dram": (tight_dram_replay, TIGHT_DRAM_DIGEST),
+    "chaos-cluster": (chaos_cluster_replay, CHAOS_CLUSTER_DIGEST),
+}
+
+
+def test_tight_dram_replay_digest():
+    assert tight_dram_replay() == TIGHT_DRAM_DIGEST
+
+
+def test_chaos_cluster_replay_digest():
+    assert chaos_cluster_replay() == CHAOS_CLUSTER_DIGEST
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "12345"])
+def test_digests_ignore_hash_seed(hash_seed):
+    """String and bytes hashes, and so set and dict-of-str order, change
+    with ``PYTHONHASHSEED``, which only takes effect at start-up."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=src if not path else src + os.pathsep + path,
+    )
+    proc = subprocess.run(
+        [sys.executable, __file__],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert proc.stdout.split() == [
+        f"{name}={digest}" for name, (_, digest) in REPLAYS.items()
+    ]
+
+
+def random_host_clocks(monkeypatch, request, rng):
+    """Every host clock read returns a fresh random value."""
+    for name in ("time", "perf_counter", "monotonic"):
+        monkeypatch.setattr(time, name, lambda: rng.uniform(0.0, 1e9))
+    for name in ("time_ns", "perf_counter_ns", "monotonic_ns"):
+        monkeypatch.setattr(time, name, lambda: rng.randrange(10**18))
+
+
+def reseeded_global_rngs(monkeypatch, request, rng):
+    """The global ``random`` and NumPy RNGs start from another state."""
+    state, np_state = random.getstate(), np.random.get_state()
+    request.addfinalizer(lambda: random.setstate(state))
+    request.addfinalizer(lambda: np.random.set_state(np_state))
+    random.seed(rng.random())
+    np.random.seed(rng.randrange(2**32))
+
+
+def gc_thresholds(*thresholds):
+    """Cyclic GC runs on other allocation counts."""
+
+    def perturb(monkeypatch, request, rng):
+        saved = gc.get_threshold()
+        request.addfinalizer(lambda: gc.set_threshold(*saved))
+        gc.set_threshold(*thresholds)
+
+    return perturb
+
+
+PERTURBATIONS = {
+    "host-clocks": random_host_clocks,
+    "global-rngs": reseeded_global_rngs,
+    "gc-eager": gc_thresholds(1, 1, 1),
+    "gc-lazy": gc_thresholds(1_000_000, 1_000, 1_000),
+}
+
+
+@pytest.mark.parametrize("replay", sorted(REPLAYS))
+@pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
+def test_digest_ignores_perturbation(perturbation, replay, monkeypatch, request):
+    PERTURBATIONS[perturbation](monkeypatch, request, random.Random(2024))
+    run, digest = REPLAYS[replay]
+    assert run() == digest
+
+
+if __name__ == "__main__":
+    for name, (run, _) in REPLAYS.items():
+        print(f"{name}={run()}")

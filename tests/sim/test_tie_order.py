@@ -89,12 +89,34 @@ def all_replicas_down():
     return cluster.run(trace)
 
 
+def simultaneous_crashes():
+    """Two of three replicas crash at one instant and restart together.
+    The instant's lifecycle events fold into one, so the two crashes
+    fail their turns over in one event, in replica order, not in two
+    tied ones."""
+    schedule = ReplicaFaultSchedule(
+        crashes=(
+            ReplicaCrash(at=30.0, replica=0, downtime=20.0),
+            ReplicaCrash(at=30.0, replica=1, downtime=20.0),
+        )
+    )
+    cluster = ClusterEngine(
+        MODEL,
+        cluster=ClusterConfig(n_instances=3),
+        engine_config=EngineConfig(batch_size=8),
+        fault_config=FaultConfig(seed=3, replica_schedule=schedule),
+    )
+    trace = generate_trace(WorkloadSpec(n_sessions=80, arrival_rate=4.0, seed=7))
+    return cluster.run(trace)
+
+
 TRACES = {
     "tight-dram-ca": tight_dram_ca,
     "recompute": recompute,
     "sharing": sharing,
     "chaos-cluster": chaos_cluster,
     "all-replicas-down": all_replicas_down,
+    "simultaneous-crashes": simultaneous_crashes,
 }
 
 
@@ -116,4 +138,12 @@ def test_all_replicas_down_run_retries():
     result = all_replicas_down()
     assert result.crashes == 2
     assert result.failover_retries > 0
+    assert result.failovers > 0
+
+
+def test_simultaneous_crashes_fail_over():
+    """The unstaggered run does crash both replicas and fail turns over."""
+    result = simultaneous_crashes()
+    assert result.crashes == 2
+    assert result.restarts == 2
     assert result.failovers > 0

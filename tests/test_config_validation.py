@@ -69,6 +69,16 @@ class TestStoreConfig:
             StoreConfig(ttl_seconds=0.0)
         StoreConfig(ttl_seconds=None)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["ttl_seconds", "dram_buffer_fraction", "prefetch_capacity_fraction"],
+    )
+    def test_non_finite_float_rejected(self, field, value):
+        # A NaN TTL used to pass validation and silently disable expiry.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            StoreConfig(**{field: value})
+
     def test_fractions_bounded(self):
         with pytest.raises(ValueError):
             StoreConfig(dram_buffer_fraction=1.0)

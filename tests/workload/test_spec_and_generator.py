@@ -52,6 +52,24 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError, match="arrival_rate"):
             WorkloadSpec(arrival_rate=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "arrival_rate",
+            "p_multi_turn",
+            "mean_turns",
+            "think_time_mean",
+            "think_time_sigma",
+            "shared_prefix_fraction",
+        ],
+    )
+    def test_rejects_non_finite_float(self, field, value):
+        # A NaN rate used to fail later, naming arrival_time instead; an
+        # infinite one was accepted.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WorkloadSpec(**{field: value})
+
     def test_rejects_bad_p_multi(self):
         with pytest.raises(ValueError, match="p_multi_turn"):
             WorkloadSpec(p_multi_turn=1.5)
