@@ -1,11 +1,11 @@
 """Perf harness: simulator hot-path wall-clock (BENCH_sim.json).
 
 Times a Fig-13-size CA replay twice — once as shipped (O(1) closed-form
-layer-wise pipeline, memoised :class:`PerfModel`/:class:`ModelSpec` hot
-calls) and once with the legacy hot path restored (the O(L) per-layer
-recurrence, caches bypassed) — plus microbenchmarks of the two optimised
-call sites in isolation, where the win is not buried under event-loop and
-store bookkeeping.  Results land in ``BENCH_sim.json`` at the repo root,
+layer-wise pipeline, memoised :class:`ModelSpec` hot calls) and once with
+the legacy hot path restored (the O(L) per-layer recurrence, caches
+bypassed) — plus a microbenchmark of the layer-wise pipeline in
+isolation, where the win is not buried under event-loop and store
+bookkeeping.  Results land in ``BENCH_sim.json`` at the repo root,
 seeding the perf trajectory.
 
 Two further sections measure the PR-3 performance layer:
@@ -61,7 +61,6 @@ from repro.engine.overlap import (
     layerwise_prefill_time,
     layerwise_prefill_time_reference,
 )
-from repro.hardware.perf import PerfModel
 from repro.models import ModelSpec, get_model
 from repro.obs import EventLoopProfiler
 from repro.runner import SweepPoint, run_sweep, unwrap
@@ -143,24 +142,17 @@ def best_of(rounds):
 
 class legacy_hot_path:
     """Temporarily restore the pre-optimisation hot path: per-layer
-    pipeline recurrence, no memoisation on PerfModel/ModelSpec."""
+    pipeline recurrence, no memoisation on ModelSpec."""
 
     def __enter__(self):
         self._layerwise = engine_module.layerwise_prefill_time
-        self._prefill = PerfModel.prefill_time
         self._kv = ModelSpec.kv_bytes
         engine_module.layerwise_prefill_time = layerwise_prefill_time_reference
-        PerfModel.prefill_time = (
-            lambda self, n_new, n_past=0, batch=1: self._prefill_time(
-                n_new, n_past, batch
-            )
-        )
         ModelSpec.kv_bytes = lambda self, n_tokens: self._kv_bytes(n_tokens)
         return self
 
     def __exit__(self, *exc):
         engine_module.layerwise_prefill_time = self._layerwise
-        PerfModel.prefill_time = self._prefill
         ModelSpec.kv_bytes = self._kv
         return False
 
@@ -464,15 +456,12 @@ def run_harness() -> dict:
     )
 
     model = get_model(MODEL_NAME)
-    perf = PerfModel(model, HardwareConfig().for_model(model))
     layerwise_closed = micro(
         layerwise_prefill_time, model.n_layers, 0.35, 0.21, 15
     )
     layerwise_loop = micro(
         layerwise_prefill_time_reference, model.n_layers, 0.35, 0.21, 15
     )
-    prefill_cached = micro(perf.prefill_time, 512, 2048)
-    prefill_uncached = micro(perf._prefill_time, 512, 2048, 1)
 
     return {
         "model": MODEL_NAME,
@@ -490,12 +479,6 @@ def run_harness() -> dict:
             "closed_form_s": round(layerwise_closed, 4),
             "reference_loop_s": round(layerwise_loop, 4),
             "speedup": round(layerwise_loop / layerwise_closed, 2),
-        },
-        "perfmodel_prefill_time": {
-            "micro_calls": MICRO_CALLS,
-            "memoized_s": round(prefill_cached, 4),
-            "unmemoized_s": round(prefill_uncached, 4),
-            "speedup": round(prefill_uncached / prefill_cached, 2),
         },
         "profile": profile_section(),
         "sweep": sweep_benchmark(),
@@ -541,7 +524,6 @@ def test_perf_sim():
     # wall-clock is recorded but only sanity-bounded (the event loop and
     # store dominate it, so its delta is small and machine-noisy).
     assert payload["layerwise_prefill_time"]["speedup"] > 2.0
-    assert payload["perfmodel_prefill_time"]["speedup"] > 1.2
     assert payload["replay"]["speedup"] > 0.85
     assert os.path.exists(PROFILE_OUT)
     # Parallel sweeps must change wall-clock only, never results.

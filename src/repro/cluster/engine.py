@@ -441,7 +441,6 @@ class ClusterEngine:
             ready_at=done,
             position_decoupled=item.position_decoupled,
             queue=target.queue,
-            pinned=target.active_sessions,
             shared_hash=shared_hash,
             shared_tokens=shared_tokens,
         )

@@ -194,9 +194,10 @@ class ServingEngine:
 
         self._gpu_busy = False
         # Sessions currently admitted (prefilling or decoding): their store
-        # items are pinned against eviction — the item is about to be
-        # replaced at save time, so demoting it would only waste SSD writes
-        # (and a popped job is otherwise invisible to the queue view).
+        # items are pinned against eviction (AttentionStore.pin) — the item
+        # is about to be replaced at save time, so demoting it would only
+        # waste SSD writes (and a popped job is otherwise invisible to the
+        # queue view).
         self._active_sessions: set[int] = set()
         # Crash epoch: bumped by crash() so already-scheduled GPU-work
         # continuations (which cannot be unscheduled) no-op when they fire.
@@ -437,11 +438,7 @@ class ServingEngine:
         store = self.store
         if store is None:
             return
-        # The live set is passed directly (no frozenset copy): the store
-        # only reads it, and nothing mutates it within a single event.
-        for session_id, done in store.prefetch(
-            self.queue, self._clock.now, self._active_sessions
-        ):
+        for session_id, done in store.prefetch(self.queue, self._clock.now):
             self.sim.at(done, FetchDone(store, session_id))
 
     # ------------------------------------------------------------------
@@ -456,6 +453,8 @@ class ServingEngine:
             if self._fits_hbm(request):
                 self.queue.pop()
                 self._active_sessions.add(request.session_id)
+                if self.store is not None:
+                    self.store.pin(request.session_id)
                 self._prefetch()
                 self._start_prefill(request)
                 return
@@ -960,6 +959,7 @@ class ServingEngine:
             blocking = 0.0
             if store is not None:
                 blocking = self._save_kv(job, session)
+                store.unpin(session_id)
             active.discard(session_id)
             record.save_block_time = blocking
             blocking_total += blocking
@@ -1026,7 +1026,6 @@ class ServingEngine:
                 conv.shared_prefix_tokens,
                 now,
                 queue=self.queue,
-                pinned=self._active_sessions,
             ):
                 self.store.acquire_shared(shared_hash, job.session_id)
                 prefix_tokens = conv.shared_prefix_tokens
@@ -1035,11 +1034,7 @@ class ServingEngine:
 
         if self.store.config.hbm_cache_bytes > 0:
             item = self.store.save_to_hbm_cache(
-                job.session_id,
-                total_tokens,
-                now,
-                queue=self.queue,
-                pinned=self._active_sessions,
+                job.session_id, total_tokens, now, queue=self.queue
             )
         else:
             item = self.store.save(
@@ -1048,7 +1043,6 @@ class ServingEngine:
                 now,
                 queue=self.queue,
                 position_decoupled=decoupled,
-                pinned=self._active_sessions,
             )
         if item is None:
             return 0.0
@@ -1120,9 +1114,11 @@ class ServingEngine:
         self.batch = BatchState(self.config.batch_size)
         self._gpu_busy = False
         self._hbm_reserved_tokens = 0
-        self._active_sessions.clear()
         if self.store is not None:
+            for session_id in self._active_sessions:
+                self.store.unpin(session_id)
             self.store.wipe_volatile(now)
+        self._active_sessions.clear()
         interrupted.sort(key=lambda r: (r.arrival_time, r.global_turn))
         return interrupted
 

@@ -19,7 +19,6 @@ Decode:   ``t = (weight_bytes + kv_bytes) / (num_gpus * hbm_bw * mbu)``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from ..config import HardwareConfig
@@ -35,10 +34,7 @@ class PerfModel:
 
     def __post_init__(self) -> None:
         # The simulator calls into this model on every event, so the
-        # derived constants are computed once and the pure prefill-time
-        # function is memoised per instance.  A bound-closure lru_cache
-        # avoids hashing the whole (model, hardware) pair on every call;
-        # the frozen dataclass guarantees the inputs never change.
+        # derived constants are computed once.
         hw = self.hardware
         object.__setattr__(
             self, "_effective_flops", hw.num_gpus * hw.gpu.peak_flops * hw.gpu.mfu
@@ -50,19 +46,6 @@ class PerfModel:
         )
         object.__setattr__(
             self, "_kv_bytes_per_token", self.model.kv_bytes_per_token
-        )
-        object.__setattr__(
-            self, "_prefill_time_cached", lru_cache(maxsize=None)(self._prefill_time)
-        )
-        # Decode-chunk costs repeat heavily: a steady batch re-derives the
-        # same (context_sum, batch, n_iterations) key every chunk.  Keys
-        # are exact (no bucketing — rounding would change simulated
-        # timing); the cache is bounded so a multi-million-session
-        # streaming replay cannot grow it without limit.
-        object.__setattr__(
-            self,
-            "_decode_segment_cached",
-            lru_cache(maxsize=4096)(self._decode_segment_time_from_sum),
         )
 
     # ------------------------------------------------------------------
@@ -76,17 +59,14 @@ class PerfModel:
     def effective_hbm_bandwidth(self) -> float:
         return self._effective_hbm_bandwidth
 
-    def _prefill_time(self, n_new: int, n_past: int, batch: int) -> float:
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
-        flops = batch * self.model.prefill_flops(n_new, n_past)
-        return flops / self.effective_flops
-
     def prefill_time(self, n_new: int, n_past: int = 0, batch: int = 1) -> float:
         """Seconds to prefill ``n_new`` tokens per sequence for ``batch``
         sequences, each with ``n_past`` tokens of reused KV cache.
         """
-        return self._prefill_time_cached(n_new, n_past, batch)
+        if batch <= 0:
+            raise ValueError(f"batch must be positive, got {batch}")
+        flops = batch * self.model.prefill_flops(n_new, n_past)
+        return flops / self._effective_flops
 
     def prefill_time_per_token(self, batch: int = 1) -> float:
         """Marginal prefill seconds per token (dense term only).
@@ -125,16 +105,7 @@ class PerfModel:
     ) -> float:
         """Like :meth:`decode_segment_time`, from the batch's total context
         length instead of the per-sequence list (O(1) for the simulator).
-
-        Memoised per exact ``(context_sum, batch, n_iterations)`` key —
-        the simulator asks for the same chunk shape once per decode chunk
-        of a steady batch.
         """
-        return self._decode_segment_cached(context_sum, batch, n_iterations)
-
-    def _decode_segment_time_from_sum(
-        self, context_sum: int, batch: int, n_iterations: int
-    ) -> float:
         if n_iterations < 0:
             raise ValueError(f"n_iterations must be >= 0, got {n_iterations}")
         if n_iterations == 0:
@@ -148,7 +119,7 @@ class PerfModel:
         )
         kv_bytes = self._kv_bytes_per_token * total_ctx
         weight_bytes = self.model.weight_bytes * n_iterations
-        return (weight_bytes + kv_bytes) / self.effective_hbm_bandwidth
+        return (weight_bytes + kv_bytes) / self._effective_hbm_bandwidth
 
     # ------------------------------------------------------------------
     # Transfers

@@ -14,8 +14,11 @@ simulated event:
   dirty-token state);
 * every §3.3.1 prefetch plan equals the reference window walk
   (:func:`~repro.store.prefetch.plan_prefetches`), and the incremental
-  planner's state — charges, prefix sums, disk candidates, pinned bytes —
-  equals a recomputation from the store and the queue;
+  planner's state — charges, prefix sums, disk candidates — equals a
+  recomputation from the store and the queue; the reference budget
+  recounts the pinned sessions' DRAM bytes from the store's pin set;
+* an engine's admitted (prefilling or decoding) sessions are exactly its
+  store's pin set;
 * across a cluster, a session's KV cache is resident on at most one
   replica (the §3.3 exactly-one-copy contract), re-checked immediately
   after every migration;
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import os
 from itertools import zip_longest
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     from .cluster.engine import ClusterEngine
@@ -250,6 +253,8 @@ class SimSanitizer:
         "register_shared",
         "acquire_shared",
         "release_shared",
+        "pin",
+        "unpin",
     )
 
     def install_store(self, store: AttentionStore) -> None:
@@ -281,10 +286,8 @@ class SimSanitizer:
             if orig is not None:
                 setattr(store, name, wrap(name, orig))
 
-        def plan_check(
-            queue: QueueView, pinned: AbstractSet[int], fetch_ids: list[int]
-        ) -> None:
-            check_prefetch_plan(store, queue, pinned, fetch_ids)
+        def plan_check(queue: QueueView, fetch_ids: list[int]) -> None:
+            check_prefetch_plan(store, queue, fetch_ids)
 
         store.plan_check = plan_check
         store._simsan_installed = True  # type: ignore[attr-defined]
@@ -306,13 +309,12 @@ def for_simulator(sim: Simulator) -> SimSanitizer:
 
 
 def check_prefetch_plan(
-    store: AttentionStore,
-    queue: QueueView,
-    pinned: AbstractSet[int],
-    fetch_ids: list[int],
+    store: AttentionStore, queue: QueueView, fetch_ids: list[int]
 ) -> None:
     """Assert a prefetch plan equals the §3.3.1 reference walk and the
     planner's state equals a recomputation (run before the plan issues).
+    The reference budget recounts the DRAM bytes of the store's pinned
+    sessions rather than reading the tier's counter.
 
     Raises:
         SimSanError: naming the first session (and its queue seq) where
@@ -325,7 +327,7 @@ def check_prefetch_plan(
 
     dram = store.dram_tier
     pinned_bytes = 0
-    for session_id in pinned:
+    for session_id in store.pinned_sessions:
         item = store.get(session_id)
         if item is not None and item.tier is Tier.DRAM:
             pinned_bytes += item.n_bytes
@@ -355,7 +357,7 @@ def check_prefetch_plan(
                 f"planned {fetch_ids}, reference {reference}"
             )
     try:
-        store.prefetch_planner.check(queue, pinned, store.disk_tier.session_ids())
+        store.prefetch_planner.check(queue, store.disk_tier.session_ids())
     except AssertionError as exc:
         raise SimSanError(f"prefetch planner state: {exc}") from exc
 
@@ -377,8 +379,18 @@ def install_engine(engine: ServingEngine) -> SimSanitizer:
         )
 
     simsan.add_event_check("engine HBM occupancy", occupancy)
-    if engine.store is not None:
-        simsan.install_store(engine.store)
+    store = engine.store
+    if store is not None:
+        simsan.install_store(store)
+
+        def pins() -> None:
+            admitted = engine._active_sessions
+            assert admitted == store.pinned_sessions, (
+                f"admitted sessions {sorted(admitted)} != store pin set "
+                f"{sorted(store.pinned_sessions)}"
+            )
+
+        simsan.add_event_check("engine admitted set is the store pin set", pins)
     return simsan
 
 

@@ -7,7 +7,6 @@ from .attention_store import (
     StoreStats,
     make_policy,
 )
-from .block import Allocation, BlockAllocator, OutOfBlocksError
 from .item import KVCacheItem, Tier
 from .policy import (
     EmptyQueueView,
@@ -20,12 +19,10 @@ from .policy import (
 )
 from .prefetch import PrefetchDecision, plan_prefetches
 from .sharing import SharedBlock, SharedLookup, shared_prefix_hash
-from .tier import StorageTier
+from .tier import OutOfBlocksError, StorageTier
 
 __all__ = [
-    "Allocation",
     "AttentionStore",
-    "BlockAllocator",
     "EmptyQueueView",
     "EvictionPolicy",
     "FIFOPolicy",

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, AbstractSet, Callable, KeysView
 from ..config import EvictionPolicyName, StoreConfig
 from ..faults import FaultInjector, TierHealth
 from ..sim.channel import Channel, FaultyTransfer
-from .block import OutOfBlocksError
 from .item import KVCacheItem, Tier
 from .policy import (
     EmptyQueueView,
@@ -48,7 +47,7 @@ from .policy import (
 )
 from .prefetch import PrefetchPlanner
 from .sharing import SharedBlock, SharedLookup
-from .tier import StorageTier
+from .tier import OutOfBlocksError, StorageTier
 
 if TYPE_CHECKING:
     from ..obs.spans import SpanTracer
@@ -179,22 +178,23 @@ class AttentionStore:
         # so complete_fetch() changes nothing the planner reads.
         changes: list[int] = []
         self._plan_changes = changes if config.enable_prefetch else None
+        # Sessions of running jobs (the engine pins a job's session while
+        # it prefills and decodes): exempt from eviction, and their DRAM
+        # bytes are not available to the §3.3.1 prefetch window.  The DRAM
+        # tier keeps those bytes current as ``dram_tier.pinned_bytes``.
+        self._pinned: set[int] = set()
         log, block = self._plan_changes, config.block_bytes
         self.hbm_tier = StorageTier(Tier.HBM, config.hbm_cache_bytes, block, log)
-        self.dram_tier = StorageTier(Tier.DRAM, config.dram_bytes, block, log)
+        self.dram_tier = StorageTier(
+            Tier.DRAM, config.dram_bytes, block, log, self._pinned
+        )
         self.disk_tier = StorageTier(Tier.DISK, config.ssd_bytes, block, log)
         self.prefetch_planner = PrefetchPlanner(
-            self._items,
-            changes,
-            self.dram_tier.session_ids(),
-            self.dram_tier.capacity_bytes,
-            config.prefetch_capacity_fraction,
+            self._items, changes, self.dram_tier, config.prefetch_capacity_fraction
         )
         #: Optional cross-check run on every plan before it is issued
-        #: (installed by SimSan): ``(queue, pinned, fetch_ids)``.
-        self.plan_check: (
-            Callable[[QueueView, AbstractSet[int], list[int]], None] | None
-        ) = None
+        #: (installed by SimSan): ``(queue, fetch_ids)``.
+        self.plan_check: Callable[[QueueView, list[int]], None] | None = None
         self._tiers = {
             Tier.HBM: self.hbm_tier,
             Tier.DRAM: self.dram_tier,
@@ -244,6 +244,28 @@ class AttentionStore:
 
     def get(self, session_id: int) -> KVCacheItem | None:
         return self._items.get(session_id)
+
+    @property
+    def pinned_sessions(self) -> AbstractSet[int]:
+        """Live view of the pinned (running) sessions."""
+        return self._pinned
+
+    def pin(self, session_id: int) -> None:
+        """Exempt a running job's session from eviction until
+        :meth:`unpin`; its DRAM bytes leave the prefetch budget."""
+        if session_id not in self._pinned:
+            self._pinned.add(session_id)
+            item = self.dram_tier.get(session_id)
+            if item is not None:
+                self.dram_tier.pinned_bytes += item.n_bytes
+
+    def unpin(self, session_id: int) -> None:
+        """Undo :meth:`pin` (a no-op for a session that is not pinned)."""
+        if session_id in self._pinned:
+            self._pinned.remove(session_id)
+            item = self.dram_tier.get(session_id)
+            if item is not None:
+                self.dram_tier.pinned_bytes -= item.n_bytes
 
     def item_bytes(self, n_tokens: int) -> int:
         return n_tokens * self.kv_bytes_per_token
@@ -326,7 +348,6 @@ class AttentionStore:
         now: float,
         queue: QueueView = _EMPTY_QUEUE,
         position_decoupled: bool = True,
-        pinned: AbstractSet[int] = frozenset(),
     ) -> KVCacheItem | None:
         """Store (or replace) a session's KV cache in DRAM.
 
@@ -353,7 +374,7 @@ class AttentionStore:
             self._total_item_bytes -= old.n_bytes
 
         if n_bytes > self.dram_tier.capacity_bytes or not self._make_dram_space(
-            n_bytes, queue, now, pinned
+            n_bytes, queue, now
         ):
             self.stats.save_rejections += 1
             if old is not None and old_tier is not None:
@@ -375,7 +396,6 @@ class AttentionStore:
             n_tokens=n_tokens,
             n_bytes=n_bytes,
             tier=Tier.DRAM,
-            allocation=None,  # type: ignore[arg-type]  # set by admit()
             position_decoupled=position_decoupled,
             created_at=now,
             last_access=now,
@@ -409,7 +429,6 @@ class AttentionStore:
         n_tokens: int,
         now: float,
         queue: QueueView = _EMPTY_QUEUE,
-        pinned: AbstractSet[int] = frozenset(),
     ) -> KVCacheItem | None:
         """Retain a session's KV directly in the HBM cache tier (Figure 24's
         HBM-only/HBM+DRAM baselines).  When the HBM tier is full its
@@ -417,27 +436,22 @@ class AttentionStore:
         via the normal save path (or are dropped if no lower tier exists).
         """
         if self.hbm_tier.capacity_bytes == 0:
-            return self.save(session_id, n_tokens, now, queue=queue, pinned=pinned)
+            return self.save(session_id, n_tokens, now, queue=queue)
         if session_id in self._items:
             self.drop(session_id)
         n_bytes = self.item_bytes(n_tokens)
         if n_bytes > self.hbm_tier.capacity_bytes:
-            return self._overflow_from_hbm(session_id, n_tokens, now, queue, pinned)
+            return self._overflow_from_hbm(session_id, n_tokens, now, queue)
         while not self.hbm_tier.can_fit(n_bytes):
             victim = LRUPolicy().choose_victim(self.hbm_tier, _EMPTY_QUEUE)
             if victim is None:
-                return self._overflow_from_hbm(
-                    session_id, n_tokens, now, queue, pinned
-                )
-            self._overflow_from_hbm(
-                victim.session_id, victim.n_tokens, now, queue, pinned
-            )
+                return self._overflow_from_hbm(session_id, n_tokens, now, queue)
+            self._overflow_from_hbm(victim.session_id, victim.n_tokens, now, queue)
         item = KVCacheItem(
             session_id=session_id,
             n_tokens=n_tokens,
             n_bytes=n_bytes,
             tier=Tier.HBM,
-            allocation=None,  # type: ignore[arg-type]
             created_at=now,
             last_access=now,
         )
@@ -456,7 +470,6 @@ class AttentionStore:
         n_tokens: int,
         now: float,
         queue: QueueView = _EMPTY_QUEUE,
-        pinned: AbstractSet[int] = frozenset(),
     ) -> KVCacheItem | None:
         """Demote an HBM-cached session to DRAM/disk (dropping it when no
         lower tier is configured)."""
@@ -464,7 +477,7 @@ class AttentionStore:
             self.drop(session_id)
         if self.dram_tier.capacity_bytes == 0:
             return None
-        return self.save(session_id, n_tokens, now, queue=queue, pinned=pinned)
+        return self.save(session_id, n_tokens, now, queue=queue)
 
     def drop(self, session_id: int) -> None:
         """Remove a session's cache from the store entirely.
@@ -654,7 +667,6 @@ class AttentionStore:
         ready_at: float = 0.0,
         position_decoupled: bool = True,
         queue: QueueView = _EMPTY_QUEUE,
-        pinned: AbstractSet[int] = frozenset(),
         shared_hash: str | None = None,
         shared_tokens: int = 0,
     ) -> KVCacheItem | None:
@@ -678,7 +690,6 @@ class AttentionStore:
             now,
             queue=queue,
             position_decoupled=position_decoupled,
-            pinned=pinned,
         )
         if item is not None:
             item.dram_ready_at = ready_at
@@ -686,9 +697,7 @@ class AttentionStore:
             self.stats.saves -= 1
             if shared_hash is not None and shared_tokens > 0:
                 known = shared_hash in self._shared
-                if self.register_shared(
-                    shared_hash, shared_tokens, now, queue=queue, pinned=pinned
-                ):
+                if self.register_shared(shared_hash, shared_tokens, now, queue=queue):
                     self.acquire_shared(shared_hash, session_id)
                     if not known:
                         self.stats.shared_adoptions += 1
@@ -707,7 +716,6 @@ class AttentionStore:
         n_tokens: int,
         now: float,
         queue: QueueView = _EMPTY_QUEUE,
-        pinned: AbstractSet[int] = frozenset(),
     ) -> bool:
         """Admit (or confirm) this store's owning copy of a shared prefix.
 
@@ -727,7 +735,7 @@ class AttentionStore:
             raise ValueError(f"n_tokens must be positive, got {n_tokens}")
         n_bytes = self.item_bytes(n_tokens)
         if n_bytes > self.dram_tier.capacity_bytes or not self._make_dram_space(
-            n_bytes, queue, now, pinned
+            n_bytes, queue, now
         ):
             self.stats.shared_register_failures += 1
             return False
@@ -738,7 +746,6 @@ class AttentionStore:
             n_tokens=n_tokens,
             n_bytes=n_bytes,
             tier=Tier.DRAM,
-            allocation=None,  # type: ignore[arg-type]  # set by admit()
             position_decoupled=True,
             created_at=now,
             last_access=now,
@@ -876,13 +883,15 @@ class AttentionStore:
         if isinstance(self.policy, SchedulerAwarePolicy):
             self.policy.window_limit = self.eviction_window_limit()
 
-    def _make_dram_space(
-        self,
-        n_bytes: int,
-        queue: QueueView,
-        now: float,
-        pinned: AbstractSet[int] = frozenset(),
-    ) -> bool:
+    def _eviction_exempt(self) -> AbstractSet[int]:
+        """Pinned sessions plus referenced shared blocks: referenced
+        blocks are exempt from eviction until their refcount drops to
+        zero."""
+        if self._shared_pinned:
+            return self._pinned | self._shared_pinned
+        return self._pinned
+
+    def _make_dram_space(self, n_bytes: int, queue: QueueView, now: float) -> bool:
         """Evict DRAM items to disk until ``n_bytes`` fit (plus buffer)."""
         dram = self.dram_tier
         capacity = dram.capacity_bytes
@@ -893,39 +902,30 @@ class AttentionStore:
             # No eviction needed — skip the policy-window sync, which only
             # feeds victim selection.  The common case: most saves fit.
             return dram.can_fit(n_bytes)
-        if self._shared_pinned:
-            # Referenced shared blocks are exempt from eviction until
-            # their refcount drops to zero.
-            pinned = pinned | self._shared_pinned
+        exempt = self._eviction_exempt()
         self._sync_policy_window()
         guard = len(dram) + 1
         while dram.free_bytes < target_free and guard > 0:
             guard -= 1
-            victim = self.policy.choose_victim(dram, queue, pinned)
+            victim = self.policy.choose_victim(dram, queue, exempt)
             if victim is None:
                 break
-            if not self._demote_to_disk(victim, queue, now, pinned):
+            if not self._demote_to_disk(victim, queue, now):
                 # No disk space obtainable either; drop the victim outright.
                 self._drop_item(victim)
                 self.stats.evicted_out += 1
         return dram.can_fit(n_bytes)
 
-    def _demote_to_disk(
-        self,
-        item: KVCacheItem,
-        queue: QueueView,
-        now: float,
-        pinned: AbstractSet[int] = frozenset(),
-    ) -> bool:
+    def _demote_to_disk(self, item: KVCacheItem, queue: QueueView, now: float) -> bool:
         """Move one item DRAM -> disk, evicting from disk if needed."""
         if self.disk_tier.capacity_bytes == 0:
             return False
-        if self._shared_pinned and not pinned >= self._shared_pinned:
-            pinned = pinned | self._shared_pinned
         guard = len(self.disk_tier) + 1
         while not self.disk_tier.can_fit(item.n_bytes) and guard > 0:
             guard -= 1
-            disk_victim = self.policy.choose_victim(self.disk_tier, queue, pinned)
+            disk_victim = self.policy.choose_victim(
+                self.disk_tier, queue, self._eviction_exempt()
+            )
             if disk_victim is None:
                 return False
             self._drop_item(disk_victim)
@@ -1189,12 +1189,7 @@ class AttentionStore:
     # ------------------------------------------------------------------
     # Prefetch
     # ------------------------------------------------------------------
-    def prefetch(
-        self,
-        queue: QueueView,
-        now: float,
-        pinned: AbstractSet[int] = frozenset(),
-    ) -> list[tuple[int, float]]:
+    def prefetch(self, queue: QueueView, now: float) -> list[tuple[int, float]]:
         """Scheduler-aware fetching of upcoming jobs' KV from disk to DRAM.
 
         Returns ``(session_id, ready_time)`` pairs for each fetch issued.
@@ -1213,11 +1208,9 @@ class AttentionStore:
             # let its change log grow.
             self.prefetch_planner.reset()
             return []
-        fetch_ids = self.prefetch_planner.plan(
-            queue, pinned, max(self.avg_item_bytes, 1.0)
-        )
+        fetch_ids = self.prefetch_planner.plan(queue, max(self.avg_item_bytes, 1.0))
         if self.plan_check is not None:
-            self.plan_check(queue, pinned, fetch_ids)
+            self.plan_check(queue, fetch_ids)
         if not fetch_ids:
             return []
 
@@ -1227,25 +1220,24 @@ class AttentionStore:
             item = items.get(session_id)
             if item is None or item.tier is not Tier.DISK or item.fetch_in_flight:
                 continue  # displaced by an earlier decision's eviction
-            # Pin the fetch target: making DRAM room must not evict the
-            # very item being fetched (possible when the disk is full and
-            # the demotion cascade reaches it).
-            fetch_pinned = frozenset(pinned) | {session_id}
-            if not self._make_dram_space(item.n_bytes, queue, now, fetch_pinned):
+            # Mark the fetch target in flight first: no policy evicts an
+            # in-flight item, so making DRAM room cannot evict the very
+            # item being fetched (possible when the disk is full and the
+            # demotion cascade reaches it).
+            item.fetch_in_flight = True
+            if not self._make_dram_space(item.n_bytes, queue, now):
+                item.fetch_in_flight = False
                 continue
-            item = items.get(session_id)
-            if item is None or item.tier is not Tier.DISK:
-                continue
-            self.disk_tier.remove(item.session_id)
+            self.disk_tier.remove(session_id)
             self.dram_tier.admit(item)
             done = self._ssd_transfer(now, item.n_bytes)
             if done is None:
                 # Fetch failed: put the item back on disk; a later demand
                 # load (or the engine's recompute fallback) covers it.
-                self.dram_tier.remove(item.session_id)
+                self.dram_tier.remove(session_id)
                 self.disk_tier.admit(item)
+                item.fetch_in_flight = False
                 continue
-            item.fetch_in_flight = True
             item.dram_ready_at = done
             self.stats.prefetches += 1
             self.stats.prefetched_bytes += item.n_bytes
@@ -1299,7 +1291,11 @@ class AttentionStore:
         * the sum of resident item sizes equals ``total_item_bytes``;
         * every item is resident in exactly the tier it records, and in no
           other tier;
-        * per-tier used bytes never exceed capacity;
+        * each tier's free blocks equal its total blocks minus
+          ``ceil(n_bytes / block_bytes)`` summed over its residents, and
+          never go negative (no tier exceeds its capacity);
+        * the DRAM tier's pinned-byte counter equals the DRAM bytes of the
+          pinned sessions, recounted;
         * delta-write-back state refers only to stored sessions and never
           exceeds the item's token count;
         * shared-prefix bookkeeping is closed: every registered block's
@@ -1337,10 +1333,26 @@ class AttentionStore:
             assert len(tier) == sum(
                 1 for item in self._items.values() if item.tier is tier.tier
             ), f"tier {tier.tier.value} holds items the store does not track"
-            assert tier.used_bytes <= tier.capacity_bytes, (
-                f"tier {tier.tier.value} over capacity: "
-                f"{tier.used_bytes} > {tier.capacity_bytes}"
+            block = tier.block_bytes
+            used = sum(-(-item.n_bytes // block) for item in tier.iter_fifo())
+            assert tier.free_blocks == tier.total_blocks - used, (
+                f"tier {tier.tier.value}: {tier.free_blocks} free blocks, its "
+                f"residents leave {tier.total_blocks - used} of "
+                f"{tier.total_blocks}"
             )
+            assert tier.free_blocks >= 0, (
+                f"tier {tier.tier.value} over capacity by "
+                f"{-tier.free_blocks} blocks"
+            )
+        pinned_bytes = sum(
+            item.n_bytes
+            for item in map(self.dram_tier.get, self._pinned)
+            if item is not None
+        )
+        assert self.dram_tier.pinned_bytes == pinned_bytes, (
+            f"DRAM pinned-byte counter {self.dram_tier.pinned_bytes} != "
+            f"pinned sessions' DRAM bytes {pinned_bytes}"
+        )
         for session_id, written in self._disk_written_tokens.items():
             assert written > 0, f"session {session_id} has zero dirty tokens"
             item = self._items.get(session_id)

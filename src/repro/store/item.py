@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .block import Allocation
-
 
 class Tier(str, Enum):
     """Where a KV-cache item currently resides."""
@@ -31,7 +29,6 @@ class KVCacheItem:
         n_tokens: number of tokens whose KV is stored.
         n_bytes: total footprint.
         tier: current residency tier.
-        allocation: block allocation backing the item in its tier.
         position_decoupled: True if the KV was saved *before* positional
             encoding was applied (CachedAttention); False reproduces the OF
             baseline whose caches are invalidated by truncation.
@@ -50,7 +47,6 @@ class KVCacheItem:
     n_tokens: int
     n_bytes: int
     tier: Tier
-    allocation: Allocation
     position_decoupled: bool = True
     valid: bool = True
     corrupt: bool = False

@@ -11,7 +11,8 @@ footprint against the byte budget — including jobs whose caches are
 the memory reserved for prefetching (overcommit would evict the window's
 own tail and thrash the SSD).  Exactly:
 
-* ``budget = int(max(0, C_dram - pinned DRAM bytes) * fraction)``;
+* ``budget = int(max(0, C_dram - pinned DRAM bytes) * fraction)``, where
+  the pinned bytes are the running sessions' DRAM bytes;
 * the window is the first ``max(1, int(budget / S_kv))`` waiting jobs;
 * every valid stored item is charged head-first, and the walk stops at
   the first item that does not fit;
@@ -21,9 +22,10 @@ own tail and thrash the SSD).  Exactly:
 the tests and SimSan compare against.  :class:`PrefetchPlanner` is what
 :meth:`AttentionStore.prefetch` runs: the same decisions from state kept
 current as the queue and the tiers change.  A plan that fetches nothing
-touches no window entry and costs O(log n) in the backlog; only a change
-to a waiting session's stored bytes (rare: a drop or truncation while it
-waits) costs a C-level O(n) update of the prefix sums.
+touches no window entry and costs O(log n) in the backlog, whatever the
+number of pinned sessions (the DRAM tier counts their bytes as they move);
+only a change to a waiting session's stored bytes (rare: a drop or
+truncation while it waits) costs a C-level O(n) update of the prefix sums.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from typing import AbstractSet, Callable, KeysView
+from typing import Callable, KeysView
 
 from .item import KVCacheItem, Tier
 from .policy import QueueView
+from .tier import StorageTier
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +135,8 @@ class PrefetchPlanner:
     """Incremental planner state for one store's :meth:`prefetch`.
 
     Waiting jobs are indexed by their queue sequence number (``seq``;
-    position = ``seq - head``).  Three pieces of state answer a plan:
+    position = ``seq - head``).  Two pieces of state answer a plan, with
+    the byte budget read from the DRAM tier's pinned-byte counter:
 
     * ``_cum`` — prefix sums of the charged bytes in queue order (an
       invalid or absent item charges 0; a repeated session charges only at
@@ -142,9 +146,6 @@ class PrefetchPlanner:
     * ``_cands`` — sorted seqs of waiting jobs whose item was fetchable
       when last seen.  Entries are validated lazily: the first live one
       decides a no-op plan, and stale ones are trimmed from the front.
-    * ``_budget`` — the window's byte budget, left after the pinned
-      sessions' DRAM bytes; recounted only when the pinned set differs
-      from the previous count's or one of its items changed.
 
     The queue is synced lazily at each plan from ``position_map()``: jobs
     only leave at the head and join at the tail with consecutive seqs, in
@@ -158,8 +159,7 @@ class PrefetchPlanner:
     __slots__ = (
         "changes",
         "_items",
-        "_dram_ids",
-        "_capacity",
+        "_dram",
         "_fraction",
         "_queue",
         "_seqs",
@@ -170,29 +170,24 @@ class PrefetchPlanner:
         "_sids",
         "_cum",
         "_cands",
-        "_pinned",
-        "_pinned_stale",
-        "_budget",
     )
 
     def __init__(
         self,
         items: dict[int, KVCacheItem],
         changes: list[int],
-        dram_ids: KeysView[int],
-        capacity: int,
+        dram: StorageTier,
         fraction: float,
     ) -> None:
         """Plan over the store's ``items``, whose tiers log into
-        ``changes``; ``dram_ids`` are the DRAM residents, ``capacity`` the
-        DRAM bytes and ``fraction`` the share of them prefetching may use.
+        ``changes``; ``fraction`` is the share of the ``dram`` tier's
+        capacity, less its pinned bytes, that prefetching may use.
         """
         self._items = items
         #: Session ids whose stored item may have changed since the last
         #: plan; filled by the store's tiers, drained by :meth:`plan`.
         self.changes = changes
-        self._dram_ids = dram_ids
-        self._capacity = capacity
+        self._dram = dram
         self._fraction = fraction
         self._queue: QueueView | None = None
         self._seqs: dict[int, int] = {}
@@ -201,9 +196,6 @@ class PrefetchPlanner:
         self._sids: list[int] = []
         self._cum: list[int] = [0]
         self._cands: list[int] = []
-        self._pinned: frozenset[int] = frozenset()
-        self._pinned_stale = True
-        self._budget = 0
 
     def reset(self) -> None:
         """Forget the queue; the next plan rebuilds from scratch.
@@ -214,12 +206,9 @@ class PrefetchPlanner:
         self._queue = None
         self.changes.clear()
 
-    def plan(
-        self, queue: QueueView, pinned: AbstractSet[int], avg_bytes: float
-    ) -> list[int]:
+    def plan(self, queue: QueueView, avg_bytes: float) -> list[int]:
         """Session ids to fetch, in queue order (see the module docstring).
 
-        ``pinned`` sessions' DRAM bytes are not available to the window;
         ``avg_bytes`` is ``S_kv`` already clamped to at least 1.
         """
         if queue is self._queue:
@@ -239,8 +228,6 @@ class PrefetchPlanner:
             self._rebuild(queue)
         changes = self.changes
         if changes:
-            if not self._pinned.isdisjoint(changes):
-                self._pinned_stale = True
             if not self._waiting.isdisjoint(changes):
                 self._recharge(changes)
             changes.clear()
@@ -256,9 +243,10 @@ class PrefetchPlanner:
             del cands[:at]
             if not cands:
                 return []
-        if self._pinned_stale or pinned != self._pinned:
-            self._count_pinned(pinned)
-        budget = self._budget
+        dram = self._dram
+        budget = int(
+            max(0, dram.capacity_bytes - dram.pinned_bytes) * self._fraction
+        )
         if budget <= 0:
             return []
         cum = self._cum
@@ -306,7 +294,6 @@ class PrefetchPlanner:
         self._waiting = seqs.keys()
         self._clear(head)
         self.changes.clear()
-        self._pinned_stale = True
         unique = queue.window_unique
         for session_id in queue.head_window_list(len(queue)):
             self._append(session_id, unique or seqs.get(session_id) == self._next)
@@ -347,27 +334,14 @@ class PrefetchPlanner:
             if delta:
                 cum[index + 1 :] = map(delta.__add__, cum[index + 1 :])
 
-    def _count_pinned(self, pinned: AbstractSet[int]) -> None:
-        """Recount the DRAM bytes of the ``pinned`` sessions, which are not
-        available to the window, and the byte budget that leaves."""
-        items = self._items
-        pinned_bytes = 0
-        for session_id in self._dram_ids & pinned:
-            pinned_bytes += items[session_id].n_bytes
-        self._budget = int(max(0, self._capacity - pinned_bytes) * self._fraction)
-        self._pinned = frozenset(pinned)
-        self._pinned_stale = False
-
     # ------------------------------------------------------------------
     # Consistency check (SimSan)
     # ------------------------------------------------------------------
-    def check(
-        self, queue: QueueView, pinned: AbstractSet[int], disk_ids: KeysView[int]
-    ) -> None:
+    def check(self, queue: QueueView, disk_ids: KeysView[int]) -> None:
         """Assert the state matches a recomputation from ``queue`` and the
-        store: the waiting jobs in order, their charges and prefix sums, a
-        candidate for every waiting session on disk, and the pinned bytes.
-        Call right after :meth:`plan`.
+        store: the waiting jobs in order, their charges and prefix sums, and
+        a candidate for every waiting session on disk.  Call right after
+        :meth:`plan`.
 
         Raises:
             AssertionError: naming the session and queue seq that differ.
@@ -399,14 +373,3 @@ class PrefetchPlanner:
                     f"session {session_id} at queue seq {seq} is on disk but "
                     "missing from the planner's disk candidates"
                 )
-        if not self._pinned_stale and pinned == self._pinned:
-            pinned_bytes = sum(
-                item.n_bytes
-                for item in map(items.get, pinned)
-                if item is not None and item.tier is Tier.DRAM
-            )
-            budget = int(max(0, self._capacity - pinned_bytes) * self._fraction)
-            assert self._budget == budget, (
-                f"planner budget {self._budget} bytes, the store's pinned "
-                f"DRAM bytes {pinned_bytes} leave {budget}"
-            )

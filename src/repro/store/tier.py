@@ -1,4 +1,11 @@
-"""A storage tier: capacity + block pool + resident-item tracking.
+"""A storage tier: capacity in blocks + resident-item tracking.
+
+Section 4.1: "The host memory and disks are managed in the form of blocks
+to improve storage utilization, similar to [vLLM]."  A tier's capacity is
+``capacity_bytes // block_bytes`` equal-sized blocks, and a resident item
+of ``n`` bytes holds ``ceil(n / block_bytes)`` of them.  Items are whole
+sessions placed one per tier, so the tier only counts free blocks; there
+is no per-allocation record.
 
 Tiers maintain both FIFO (arrival into the tier) and LRU (last access)
 orderings incrementally, so eviction policies can pick victims in O(1)
@@ -6,14 +13,21 @@ instead of sorting the resident set on every eviction — essential when the
 disk tier holds thousands of sessions.  A tier can also log the session ids
 it admits, removes or resizes into a shared list (``changes``), which is
 how the store's incremental prefetch planner learns of tier movement.
+Given the store's pin set (``pinned``, the sessions of running jobs), a
+tier keeps :attr:`StorageTier.pinned_bytes`, the bytes those sessions hold
+in it, current on every admit, remove and resize: the §3.3.1 prefetch
+budget reads it instead of recounting the pinned sessions.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, KeysView, Mapping
+from typing import AbstractSet, Iterator, KeysView, Mapping
 
-from .block import BlockAllocator
 from .item import KVCacheItem, Tier
+
+
+class OutOfBlocksError(Exception):
+    """Raised when a tier lacks the free blocks a request needs."""
 
 
 class StorageTier:
@@ -25,16 +39,24 @@ class StorageTier:
         capacity_bytes: int,
         block_bytes: int,
         changes: list[int] | None = None,
+        pinned: AbstractSet[int] = frozenset(),
     ) -> None:
+        if capacity_bytes < 0:
+            raise ValueError(f"capacity_bytes must be >= 0, got {capacity_bytes}")
+        if block_bytes <= 0:
+            raise ValueError(f"block_bytes must be positive, got {block_bytes}")
         self.tier = tier
         # Appends to the change log, or None when nothing reads one.
         self._log = None if changes is None else changes.append
-        self.allocator = BlockAllocator(capacity_bytes, block_bytes)
-        # A block pool's capacity is fixed for its lifetime, so the
-        # rounded-to-blocks capacity is snapshotted here: eviction and
-        # prefetch budgeting read it on every plan, and a plain attribute
-        # beats the two-property chain into the allocator.
-        self.capacity_bytes: int = self.allocator.capacity_bytes
+        self.block_bytes = block_bytes
+        self.total_blocks = capacity_bytes // block_bytes
+        self.free_blocks = self.total_blocks
+        #: Capacity rounded down to whole blocks.
+        self.capacity_bytes: int = self.total_blocks * block_bytes
+        #: Bytes held here by the sessions in ``pinned`` (a live view of
+        #: the owner's pin set; the owner adjusts this on pin and unpin).
+        self.pinned = pinned
+        self.pinned_bytes = 0
         # Python dicts preserve insertion order; we maintain one in arrival
         # order (FIFO) and one in access order (LRU, oldest first).
         self._fifo: dict[int, KVCacheItem] = {}
@@ -71,35 +93,44 @@ class StorageTier:
 
     @property
     def used_bytes(self) -> int:
-        return self.allocator.used_bytes
+        return (self.total_blocks - self.free_blocks) * self.block_bytes
 
     @property
     def free_bytes(self) -> int:
-        return self.allocator.free_bytes
+        return self.free_blocks * self.block_bytes
 
     def can_fit(self, n_bytes: int) -> bool:
-        return self.allocator.can_allocate(n_bytes)
+        return -(-n_bytes // self.block_bytes) <= self.free_blocks
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def admit(self, item: KVCacheItem) -> None:
-        """Place ``item`` in this tier, allocating blocks for it.
+        """Place ``item`` in this tier, taking blocks for it.
 
         Raises:
-            OutOfBlocksError: if the tier lacks space (caller must evict).
+            OutOfBlocksError: if the tier lacks space (caller must evict);
+                nothing changes.
             ValueError: if the session is already resident here.
         """
-        if item.session_id in self._fifo:
+        session_id = item.session_id
+        if session_id in self._fifo:
             raise ValueError(
-                f"session {item.session_id} already resident in {self.tier.value}"
+                f"session {session_id} already resident in {self.tier.value}"
             )
-        item.allocation = self.allocator.allocate(item.n_bytes)
+        need = -(-item.n_bytes // self.block_bytes)
+        if need > self.free_blocks:
+            raise OutOfBlocksError(
+                f"need {need} blocks, only {self.free_blocks} free"
+            )
+        self.free_blocks -= need
+        if session_id in self.pinned:
+            self.pinned_bytes += item.n_bytes
         item.tier = self.tier
-        self._fifo[item.session_id] = item
-        self._lru[item.session_id] = item
+        self._fifo[session_id] = item
+        self._lru[session_id] = item
         if self._log is not None:
-            self._log(item.session_id)
+            self._log(session_id)
 
     def remove(self, session_id: int) -> KVCacheItem:
         """Remove a resident item and free its blocks.
@@ -109,7 +140,9 @@ class StorageTier:
         """
         item = self._fifo.pop(session_id)
         del self._lru[session_id]
-        self.allocator.free(item.allocation)
+        self.free_blocks += -(-item.n_bytes // self.block_bytes)
+        if session_id in self.pinned:
+            self.pinned_bytes -= item.n_bytes
         if self._log is not None:
             self._log(session_id)
         return item
@@ -121,9 +154,22 @@ class StorageTier:
             self._lru[session_id] = item
 
     def resize(self, session_id: int, n_tokens: int, n_bytes: int) -> None:
-        """Shrink a resident item in place (KV truncation)."""
+        """Shrink or grow a resident item in place (KV truncation, COW fork).
+
+        Raises:
+            OutOfBlocksError: if a grow lacks free blocks; the item keeps
+                its old size.
+        """
         item = self._fifo[session_id]
-        item.allocation = self.allocator.resize(item.allocation, n_bytes)
+        block = self.block_bytes
+        grow = -(-n_bytes // block) - -(-item.n_bytes // block)
+        if grow > self.free_blocks:
+            raise OutOfBlocksError(
+                f"need {grow} more blocks, only {self.free_blocks} free"
+            )
+        self.free_blocks -= grow
+        if session_id in self.pinned:
+            self.pinned_bytes += n_bytes - item.n_bytes
         item.n_tokens = n_tokens
         item.n_bytes = n_bytes
         if self._log is not None:

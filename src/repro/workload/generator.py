@@ -6,6 +6,7 @@ paper statistics they are fit to.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Any, Iterator
 
 import numpy as np
@@ -69,45 +70,7 @@ def generate_trace(
     if arrival_process is None:
         arrival_process = PoissonArrivals(rate=spec.arrival_rate)
     arrivals = arrival_process.sample(n, rng)
-    turn_counts = _draw_turn_counts(rng, spec, n)
-
-    total_turns = int(turn_counts.sum())
-    q_lengths = _draw_lengths(rng, spec.q_tokens, total_turns)
-    a_lengths = _draw_lengths(rng, spec.a_tokens, total_turns)
-    think_times = rng.lognormal(
-        mean=spec.think_time_mu, sigma=spec.think_time_sigma, size=total_turns
-    )
-    # Shared-prefix draws come *after* every pre-existing draw and only
-    # when sharing is on: a share-free spec consumes the exact same RNG
-    # stream as before the knob existed (bit-identical traces).
-    shared_flags, prefix_ids = _draw_shared_prefixes(rng, spec, n)
-
-    conversations: list[Conversation] = []
-    cursor = 0
-    for session_id in range(n):
-        k = int(turn_counts[session_id])
-        prefix_tokens = (
-            spec.shared_prefix_len if bool(shared_flags[session_id]) else 0
-        )
-        turns = tuple(
-            Turn(
-                q_tokens=int(q_lengths[cursor + j])
-                + (prefix_tokens if j == 0 else 0),
-                a_tokens=int(a_lengths[cursor + j]),
-                think_time=0.0 if j == 0 else float(think_times[cursor + j]),
-            )
-            for j in range(k)
-        )
-        cursor += k
-        conversations.append(
-            Conversation(
-                session_id=session_id,
-                arrival_time=float(arrivals[session_id]),
-                turns=turns,
-                shared_prefix_id=int(prefix_ids[session_id]) if prefix_tokens else 0,
-                shared_prefix_tokens=prefix_tokens,
-            )
-        )
+    conversations = list(_conversations(rng, spec, arrivals, n, 0))
 
     metadata = {
         "generator": "repro.workload.generator",
@@ -121,6 +84,68 @@ def generate_trace(
         metadata["shared_prefix_len"] = spec.shared_prefix_len
         metadata["n_shared_prefixes"] = spec.n_shared_prefixes
     return Trace(conversations=conversations, metadata=metadata)
+
+
+def _conversations(
+    rng: np.random.Generator,
+    spec: WorkloadSpec,
+    arrivals: np.ndarray,
+    n_draw: int,
+    first_id: int,
+) -> Iterator[Conversation]:
+    """Draw the turns of ``n_draw`` sessions and yield the conversations
+    of the first ``len(arrivals)`` of them, numbered from ``first_id``.
+
+    The draws are turn counts, question lengths, answer lengths and think
+    times, then the shared prefixes.  The prefix draws come *after* every
+    other draw and only when sharing is on: a share-free spec consumes the
+    exact same RNG stream as before the knob existed (bit-identical
+    traces).
+
+    The draws are read through memoryviews, whose items and ``tolist()``
+    slices are plain Python ints and floats: no numpy scalar per access,
+    and no up-front conversion of the whole draw (a stream's first
+    conversation costs one session's conversion, not a block's).
+    """
+    turn_counts = _draw_turn_counts(rng, spec, n_draw)
+    total_turns = int(turn_counts.sum())
+    questions = memoryview(_draw_lengths(rng, spec.q_tokens, total_turns))
+    answers = memoryview(_draw_lengths(rng, spec.a_tokens, total_turns))
+    think_times = memoryview(
+        rng.lognormal(
+            mean=spec.think_time_mu, sigma=spec.think_time_sigma, size=total_turns
+        )
+    )
+    shared_flags, prefix_ids = _draw_shared_prefixes(rng, spec, n_draw)
+    prefix_len = spec.shared_prefix_len
+    first = 0
+    for session_id, arrival, k, shared, prefix_id in zip(
+        count(first_id),
+        memoryview(arrivals),
+        memoryview(turn_counts),
+        memoryview(shared_flags),
+        memoryview(prefix_ids),
+    ):
+        end = first + k
+        prefix_tokens = prefix_len if shared else 0
+        # The template prepends to the first question; the first turn has
+        # no think time.
+        yield Conversation(
+            session_id=session_id,
+            arrival_time=arrival,
+            turns=(
+                Turn(questions[first] + prefix_tokens, answers[first]),
+                *map(
+                    Turn,
+                    questions[first + 1 : end].tolist(),
+                    answers[first + 1 : end].tolist(),
+                    think_times[first + 1 : end].tolist(),
+                ),
+            ),
+            shared_prefix_id=prefix_id if prefix_tokens else 0,
+            shared_prefix_tokens=prefix_tokens,
+        )
+        first = end
 
 
 def _draw_shared_prefixes(
@@ -216,38 +241,7 @@ def stream_trace(
             rng.exponential(mean_gap, size=block_sessions)
         )
         arrival_offset = float(arrivals[-1])
-        turn_counts = _draw_turn_counts(rng, spec, block_sessions)
-        total_turns = int(turn_counts.sum())
-        q_lengths = _draw_lengths(rng, spec.q_tokens, total_turns)
-        a_lengths = _draw_lengths(rng, spec.a_tokens, total_turns)
-        think_times = rng.lognormal(
-            mean=spec.think_time_mu, sigma=spec.think_time_sigma, size=total_turns
+        yield from _conversations(
+            rng, spec, arrivals[:block_n], block_sessions, session_id
         )
-        # Appended after all pre-existing draws and gated on the knob —
-        # full-block-sized like everything else, so the substream position
-        # (hence prefix stability) is preserved.
-        shared_flags, prefix_ids = _draw_shared_prefixes(
-            rng, spec, block_sessions
-        )
-        cursor = 0
-        for i in range(block_n):
-            k = int(turn_counts[i])
-            prefix_tokens = spec.shared_prefix_len if bool(shared_flags[i]) else 0
-            turns = tuple(
-                Turn(
-                    q_tokens=int(q_lengths[cursor + j])
-                    + (prefix_tokens if j == 0 else 0),
-                    a_tokens=int(a_lengths[cursor + j]),
-                    think_time=0.0 if j == 0 else float(think_times[cursor + j]),
-                )
-                for j in range(k)
-            )
-            cursor += k
-            yield Conversation(
-                session_id=session_id,
-                arrival_time=float(arrivals[i]),
-                turns=turns,
-                shared_prefix_id=int(prefix_ids[i]) if prefix_tokens else 0,
-                shared_prefix_tokens=prefix_tokens,
-            )
-            session_id += 1
+        session_id += block_n

@@ -92,7 +92,8 @@ class TestRejectedReplaceKeepsOldItem:
         store.save(2, 10, now=1.0)
         # Growing session 1 to 20 tokens needs session 2's space, but 2 is
         # pinned: the save is rejected and 1's old item must survive.
-        assert store.save(1, 20, now=2.0, pinned=frozenset({2})) is None
+        store.pin(2)
+        assert store.save(1, 20, now=2.0) is None
         assert store.lookup(1, 3.0).n_tokens == 10
         assert store.get(2).tier is Tier.DRAM
         store.check_invariants()
@@ -283,9 +284,8 @@ class TestPrefetch:
         store = make_store(dram_items=1)
         store.save(1, 10, now=0.0)
         store.save(2, 10, now=1.0)  # 1 spills to disk
-        issued = store.prefetch(
-            ListQueueView([1]), now=2.0, pinned=frozenset({2})
-        )
+        store.pin(2)
+        issued = store.prefetch(ListQueueView([1]), now=2.0)
         assert issued == []  # no room without evicting the pinned item
         assert store.get(2).tier is Tier.DRAM
 

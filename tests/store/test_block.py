@@ -1,112 +1,136 @@
-"""Tests for the block-based storage allocator."""
+"""Block accounting of a storage tier (Section 4.1: host memory and disks
+are managed in blocks).
+
+A :class:`StorageTier` is its own block allocator: it counts free blocks,
+and a resident item of ``n`` bytes holds ``ceil(n / block_bytes)`` of them.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.store import BlockAllocator, OutOfBlocksError
+from repro.store import KVCacheItem, OutOfBlocksError, StorageTier, Tier
+
+
+def item(session_id, n_bytes):
+    return KVCacheItem(
+        session_id=session_id, n_tokens=1, n_bytes=n_bytes, tier=Tier.DRAM
+    )
+
+
+def tier(capacity_bytes, block_bytes):
+    return StorageTier(Tier.DRAM, capacity_bytes, block_bytes)
+
+
+def state(t):
+    return (t.free_blocks, t.used_bytes, t.free_bytes, list(t.session_ids()))
 
 
 class TestBlockAllocator:
     def test_capacity_rounds_down_to_blocks(self):
-        alloc = BlockAllocator(capacity_bytes=100, block_bytes=30)
-        assert alloc.total_blocks == 3
-        assert alloc.capacity_bytes == 90
+        t = tier(capacity_bytes=100, block_bytes=30)
+        assert t.total_blocks == 3
+        assert t.capacity_bytes == 90
+        assert t.free_bytes == 90
 
     def test_blocks_needed_ceils(self):
-        alloc = BlockAllocator(1000, 10)
-        assert alloc.blocks_needed(0) == 0
-        assert alloc.blocks_needed(1) == 1
-        assert alloc.blocks_needed(10) == 1
-        assert alloc.blocks_needed(11) == 2
+        for n_bytes, blocks in ((1, 1), (10, 1), (11, 2), (25, 3)):
+            t = tier(1000, 10)
+            t.admit(item(1, n_bytes))
+            assert t.total_blocks - t.free_blocks == blocks
+            assert t.used_bytes == blocks * 10
 
     def test_allocate_and_free(self):
-        alloc = BlockAllocator(100, 10)
-        a = alloc.allocate(25)
-        assert a.n_blocks == 3
-        assert alloc.free_blocks == 7
-        alloc.free(a)
-        assert alloc.free_blocks == 10
-
-    def test_internal_fragmentation(self):
-        alloc = BlockAllocator(100, 10)
-        a = alloc.allocate(25)
-        assert a.internal_fragmentation == 5
-        assert alloc.internal_fragmentation_bytes == 5
-        alloc.free(a)
-        assert alloc.internal_fragmentation_bytes == 0
+        t = tier(100, 10)
+        t.admit(item(1, 25))
+        assert t.free_blocks == 7
+        t.remove(1)
+        assert t.free_blocks == 10
 
     def test_out_of_blocks(self):
-        alloc = BlockAllocator(30, 10)
-        alloc.allocate(30)
+        t = tier(30, 10)
+        t.admit(item(1, 30))
+        before = state(t)
         with pytest.raises(OutOfBlocksError):
-            alloc.allocate(1)
+            t.admit(item(2, 1))
+        assert state(t) == before
+        assert 2 not in t
 
     def test_double_free_rejected(self):
-        alloc = BlockAllocator(100, 10)
-        a = alloc.allocate(10)
-        alloc.free(a)
+        t = tier(100, 10)
+        t.admit(item(1, 10))
+        t.remove(1)
         with pytest.raises(KeyError):
-            alloc.free(a)
+            t.remove(1)
+        assert t.free_blocks == 10
 
     def test_can_allocate(self):
-        alloc = BlockAllocator(30, 10)
-        assert alloc.can_allocate(30)
-        assert not alloc.can_allocate(31)
+        t = tier(30, 10)
+        assert t.can_fit(30)
+        assert not t.can_fit(31)
+        t.admit(item(1, 11))
+        assert t.can_fit(10)
+        assert not t.can_fit(11)
 
     def test_resize_shrink(self):
-        alloc = BlockAllocator(100, 10)
-        a = alloc.allocate(50)
-        b = alloc.resize(a, 20)
-        assert b.n_blocks == 2
-        assert alloc.free_blocks == 8
+        t = tier(100, 10)
+        t.admit(item(1, 50))
+        t.resize(1, 1, 20)
+        assert t.free_blocks == 8
+        assert t.get(1).n_bytes == 20
 
     def test_resize_grow_fails_restores_original(self):
-        alloc = BlockAllocator(100, 10)
-        a = alloc.allocate(60)
-        alloc.allocate(40)
+        t = tier(100, 10)
+        t.admit(item(1, 60))
+        t.admit(item(2, 40))
+        before = state(t)
         with pytest.raises(OutOfBlocksError):
-            alloc.resize(a, 70)
-        # Original allocation must still be live.
-        assert alloc.used_blocks == 10
-        alloc.free(a)
-        assert alloc.free_blocks == 6
+            t.resize(1, 2, 70)
+        # The item keeps its size and blocks; nothing else moved.
+        assert state(t) == before
+        assert (t.get(1).n_tokens, t.get(1).n_bytes) == (1, 60)
+        t.remove(1)
+        assert t.free_blocks == 6
 
     def test_zero_capacity(self):
-        alloc = BlockAllocator(0, 10)
-        assert not alloc.can_allocate(1)
-        assert alloc.can_allocate(0)
+        t = tier(0, 10)
+        assert t.total_blocks == 0
+        assert not t.can_fit(1)
+        assert t.can_fit(0)
+        with pytest.raises(OutOfBlocksError):
+            t.admit(item(1, 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BlockAllocator(-1, 10)
+            tier(-1, 10)
         with pytest.raises(ValueError):
-            BlockAllocator(100, 0)
+            tier(100, 0)
         with pytest.raises(ValueError):
-            BlockAllocator(100, 10).blocks_needed(-5)
+            tier(100, -10)
 
     @given(
-        st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=40)
+        st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=40)
     )
     def test_alloc_free_conservation(self, sizes):
-        """Property: freeing everything restores the full pool."""
-        alloc = BlockAllocator(10_000, 16)
+        """Property: free + Σ ceil(bytes/block) = total after every step,
+        and removing everything restores the full pool."""
+        t = tier(10_000, 16)
         live = []
-        for size in sizes:
+        for sid, size in enumerate(sizes):
             try:
-                live.append(alloc.allocate(size))
+                t.admit(item(sid, size))
+                live.append(sid)
             except OutOfBlocksError:
                 if live:
-                    alloc.free(live.pop())
-        used = sum(a.n_blocks for a in live)
-        assert alloc.used_blocks == used
-        for a in live:
-            alloc.free(a)
-        assert alloc.free_blocks == alloc.total_blocks
-        assert alloc.internal_fragmentation_bytes == 0
+                    t.remove(live.pop())
+            used = sum(-(-t.get(s).n_bytes // 16) for s in live)
+            assert t.free_blocks + used == t.total_blocks
+        for sid in live:
+            t.remove(sid)
+        assert t.free_blocks == t.total_blocks
 
-    @given(st.integers(min_value=0, max_value=10_000))
+    @given(st.integers(min_value=1, max_value=10_000))
     def test_allocation_covers_request(self, size):
-        alloc = BlockAllocator(100_000, 64)
-        a = alloc.allocate(size)
-        assert a.allocated_bytes >= size
-        assert a.allocated_bytes - size < 64
+        t = tier(100_000, 64)
+        t.admit(item(1, size))
+        assert t.used_bytes >= size
+        assert t.used_bytes - size < 64

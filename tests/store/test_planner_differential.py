@@ -2,13 +2,15 @@
 
 Hypothesis drives a ``SchedulerQueue`` through interleaved pushes and
 pops while the store's items move between tiers (DRAM, disk, fetch in
-flight, invalidated, dropped, truncated) under random pinned sets and
-capacities.  After every queue change, as the engine does, the fetches
-``AttentionStore.prefetch`` issues are compared with the decisions of the
-reference window walk ``plan_prefetches``; at random points
-``SchedulerAwarePolicy.choose_victim`` is compared with a brute-force
-reading of the §3.3.2 rule, window limits shorter than the queue
-included.
+flight, invalidated, dropped, truncated, migrated out and back) under
+random capacities, and sessions are pinned and unpinned as the engine
+pins running jobs.  The references take the test's own pinned set, which
+must always equal the store's.  After every queue change, as the engine
+does, the fetches ``AttentionStore.prefetch`` issues are compared with
+the decisions of the reference window walk ``plan_prefetches``; at
+random points ``SchedulerAwarePolicy.choose_victim`` is compared with a
+brute-force reading of the §3.3.2 rule, window limits shorter than the
+queue included.
 """
 
 import pytest
@@ -93,7 +95,7 @@ def issue_cannot_fail(store, pinned, fetches):
 def check_prefetch(store, queue, pinned, now):
     expected = reference_fetches(store, queue, pinned)
     feasible = issue_cannot_fail(store, pinned, expected)
-    issued = [sid for sid, _ready in store.prefetch(queue, now, pinned)]
+    issued = [sid for sid, _ready in store.prefetch(queue, now)]
     if feasible:
         assert issued == expected
     else:
@@ -128,7 +130,9 @@ operation = st.one_of(
     st.tuples(st.just("truncate"), session, st.integers(0, MAX_TOKENS)),
     st.tuples(st.just("invalidate"), session, st.just(0)),
     st.tuples(st.just("drop"), session, st.just(0)),
+    st.tuples(st.just("pin"), session, st.just(0)),
     st.tuples(st.just("unpin"), session, st.just(0)),
+    st.tuples(st.just("migrate"), session, st.just(0)),
     st.tuples(st.just("complete"), session, st.just(0)),
     st.tuples(st.just("prefetch"), st.just(0), st.just(0)),
     st.tuples(st.just("victim"), st.just(0), st.integers(-1, N_SESSIONS + 1)),
@@ -176,17 +180,27 @@ class TestPlannerDifferential:
                     popped = queue.pop().session_id
                     if arg:
                         pinned.add(popped)
+                        store.pin(popped)
                     check_prefetch(store, queue, pinned, now)
             elif op == "save":
-                store.save(sid, arg, now, queue=queue, pinned=pinned)
+                store.save(sid, arg, now, queue=queue)
             elif op == "truncate":
                 store.truncate(sid, arg)
             elif op == "invalidate":
                 store.invalidate(sid)
             elif op == "drop":
                 store.drop(sid)
+            elif op == "pin":
+                pinned.add(sid)
+                store.pin(sid)
             elif op == "unpin":
                 pinned.discard(sid)
+                store.unpin(sid)
+            elif op == "migrate":
+                # Out and back in: a disk item returns to DRAM.
+                item = store.extract(sid)
+                if item is not None:
+                    store.admit_migrated(sid, item.n_tokens, now, queue=queue)
             elif op == "complete":
                 store.complete_fetch(sid)
             elif op == "prefetch":
@@ -198,6 +212,7 @@ class TestPlannerDifferential:
                     assert policy.choose_victim(
                         tier, queue, pinned
                     ) is reference_victim(tier, queue, pinned, window_limit)
+            assert store.pinned_sessions == pinned
             store.check_invariants()
 
     @settings(max_examples=100, deadline=None)
@@ -218,8 +233,10 @@ class TestPlannerDifferential:
         """A ``ListQueueView`` may repeat a session; it is planned (and its
         victims chosen) by its first occurrence."""
         store = make_store(dram_kb, fraction, 0.0)
+        for sid in pinned:
+            store.pin(sid)
         for now, (sid, tokens) in enumerate(saves):
-            store.save(sid, tokens, float(now), pinned=pinned)
+            store.save(sid, tokens, float(now))
         for sid in invalid:
             store.invalidate(sid)
         queue = ListQueueView(waiting)

@@ -39,7 +39,7 @@ def make_store(dram_items, disk_items=64, sanitized=True):
     return store
 
 
-def reference_fetches(store, queue, pinned=frozenset()):
+def reference_fetches(store, queue, pinned):
     dram = store.dram_tier
     pinned_bytes = sum(store.get(sid).n_bytes for sid in pinned if sid in dram)
     budget = int(
@@ -84,41 +84,49 @@ class CountingQueue(SchedulerQueue):
         return window
 
 
-def no_op_plan_work(backlog):
+def no_op_plan_work(backlog, running):
     """Item probes plus window entries of two no-op plans — one after a
-    push, one after a pop — with ``backlog`` sessions waiting.
+    push, one after a pop — with ``backlog`` sessions waiting and
+    ``running`` pinned sessions holding DRAM.
 
-    DRAM holds exactly the waiting sessions' caches; one more waiting
-    session, at the tail, sits on disk just past the window, so the §3.3.1
-    walk charges the whole backlog and fetches nothing.
+    DRAM holds exactly the waiting and running sessions' caches; one more
+    waiting session, at the tail, sits on disk just past the window, so the
+    §3.3.1 walk charges the whole backlog and fetches nothing.
     """
-    store = make_store(dram_items=backlog, disk_items=4, sanitized=False)
+    store = make_store(dram_items=backlog + running, disk_items=4, sanitized=False)
     on_disk = backlog
+    first_running = backlog + 2
     store.save(on_disk, ITEM_TOKENS, 0.0)
+    for sid in range(first_running, first_running + running):
+        store.save(sid, ITEM_TOKENS, 1.0)
+        store.pin(sid)
     for sid in range(backlog):
         store.save(sid, ITEM_TOKENS, 1.0)
     assert store.get(on_disk).tier is Tier.DISK
     queue = CountingQueue()
     for sid in range(backlog + 1):
         queue.push(request(sid))
-    pinned: set[int] = set()
-    assert store.prefetch(queue, 2.0, pinned) == []  # builds the planner state
+    assert store.prefetch(queue, 2.0) == []  # builds the planner state
     for sid in store.resident_sessions():
         store.get(sid).__class__ = CountingItem
     CountingItem.reads = CountingQueue.entries = 0
 
     queue.push(request(backlog + 1))  # a new session: nothing stored yet
-    assert store.prefetch(queue, 3.0, pinned) == []
-    pinned.add(queue.pop().session_id)  # the head starts running
-    assert store.prefetch(queue, 4.0, pinned) == []
+    assert store.prefetch(queue, 3.0) == []
+    store.pin(queue.pop().session_id)  # the head starts running
+    assert store.prefetch(queue, 4.0) == []
     return CountingItem.reads + CountingQueue.entries
 
 
 class TestNoOpPlanCost:
     def test_no_op_work_does_not_grow_with_the_backlog(self):
-        small, large = no_op_plan_work(100), no_op_plan_work(10_000)
-        assert small == large
-        assert large < 40
+        work = {
+            (backlog, running): no_op_plan_work(backlog, running)
+            for backlog in (100, 10_000)
+            for running in (1, 1000)
+        }
+        assert len(set(work.values())) == 1, work
+        assert work[10_000, 1000] < 40
 
 
 class TestLifecycleEdges:
@@ -134,9 +142,11 @@ class TestLifecycleEdges:
         for sid in range(6):
             self.queue.push(request(sid))
 
-    def plan(self, now, pinned=frozenset()):
-        expected = reference_fetches(self.store, self.queue, pinned)
-        issued = [sid for sid, _ in self.store.prefetch(self.queue, now, pinned)]
+    def plan(self, now):
+        expected = reference_fetches(
+            self.store, self.queue, self.store.pinned_sessions
+        )
+        issued = [sid for sid, _ in self.store.prefetch(self.queue, now)]
         assert issued == expected
         for sid in issued:  # the fetches land before the next plan
             self.store.complete_fetch(sid)
@@ -175,7 +185,8 @@ class TestLifecycleEdges:
             self.queue.pop()
         for sid in (3, 1, 2):
             self.queue.push(request(sid))
-        self.plan(11.0, pinned=frozenset({0}))
+        self.store.pin(0)
+        self.plan(11.0)
 
 
 class TestSimSanCrossCheck:
@@ -230,4 +241,5 @@ class TestSimSanCrossCheck:
         store, queue = self.build()
         queue.pop()
         queue.push(request(0))
-        store.prefetch(queue, 21.0, pinned=frozenset({1}))
+        store.pin(1)
+        store.prefetch(queue, 21.0)

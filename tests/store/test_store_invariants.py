@@ -39,8 +39,14 @@ def run_random_ops(store: AttentionStore, rng: random.Random, n_ops: int = N_OPS
         op = rng.random()
         if op < 0.45:
             queue = ListQueueView(rng.sample(range(N_SESSIONS), rng.randrange(4)))
+            # The pins stay until the next save, so later operations move
+            # pinned items too.
             pinned = frozenset(rng.sample(range(N_SESSIONS), rng.randrange(3)))
-            store.save(sid, rng.randint(1, 40), now=now, queue=queue, pinned=pinned)
+            for old in store.pinned_sessions - pinned:
+                store.unpin(old)
+            for new in pinned:
+                store.pin(new)
+            store.save(sid, rng.randint(1, 40), now=now, queue=queue)
         elif op < 0.70:
             store.lookup(sid, now)
         elif op < 0.80:

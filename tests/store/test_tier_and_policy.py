@@ -20,7 +20,6 @@ def make_item(sid, n_tokens=10, last_access=0.0, bytes_per_token=10):
         n_tokens=n_tokens,
         n_bytes=n_tokens * bytes_per_token,
         tier=Tier.DRAM,
-        allocation=None,
         last_access=last_access,
     )
 
