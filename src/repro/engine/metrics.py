@@ -20,7 +20,7 @@ the paper's "warm up with the first 10K turns, evaluate the following 42K".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from ..store.attention_store import LookupStatus
@@ -163,6 +163,57 @@ class RunSummary:
         return self.prompt_tokens_total / self.prefill_gpu_time
 
 
+@dataclass(slots=True)
+class EvalTotals:
+    """Counts and sums over evaluation-window turns, named after the
+    :class:`TurnRecord` fields they add up.
+
+    Both collector modes fold records through :meth:`add` in recording
+    order, so every float total is the same left-to-right ``+=`` in
+    both; ``sum()`` would not match it, being compensated on CPython
+    3.12 and later.
+    """
+
+    n_turns: int = 0
+    outcomes: dict[TurnOutcome, int] = field(
+        default_factory=lambda: dict.fromkeys(TurnOutcome, 0)
+    )
+    ttft: float = 0.0
+    queue_delay: float = 0.0
+    prompt_tokens: int = 0
+    new_tokens: int = 0
+    reused_tokens: int = 0
+    shared_hit_tokens: int = 0
+    generated_tokens: int = 0
+    prefill_gpu_time: float = 0.0
+    decode_gpu_share: float = 0.0
+    save_block_time: float = 0.0
+    dropped_tokens: int = 0
+
+    def add(self, record: TurnRecord) -> None:
+        self.n_turns += 1
+        self.outcomes[record.outcome] += 1
+        self.ttft += record.ttft
+        self.queue_delay += record.queue_delay
+        self.prompt_tokens += record.prompt_tokens
+        self.new_tokens += record.new_tokens
+        self.reused_tokens += record.reused_tokens
+        self.shared_hit_tokens += record.shared_hit_tokens
+        self.generated_tokens += record.generated_tokens
+        self.prefill_gpu_time += record.prefill_gpu_time
+        self.decode_gpu_share += record.decode_gpu_share
+        self.save_block_time += record.save_block_time
+        self.dropped_tokens += record.dropped_tokens
+
+    def merge(self, other: "EvalTotals") -> None:
+        for outcome, count in other.outcomes.items():
+            self.outcomes[outcome] += count
+        for f in fields(self):
+            if f.name != "outcomes":
+                total = getattr(self, f.name) + getattr(other, f.name)
+                setattr(self, f.name, total)
+
+
 class MetricsCollector:
     """Accumulates :class:`TurnRecord` entries and summarises a run.
 
@@ -191,22 +242,8 @@ class MetricsCollector:
         self._decode_stall_total = 0.0
         self._first_arrival: float | None = None
         self._last_completion = 0.0
-        # Streaming accumulators (touched only when streaming=True; all
-        # sums are over the evaluation window, in recording order so the
-        # float totals match exact mode bit-for-bit).
-        self._n_eval = 0
-        self._outcome_counts = {outcome: 0 for outcome in TurnOutcome}
-        self._ttft_sum = 0.0
-        self._queue_delay_sum = 0.0
-        self._prompt_sum = 0
-        self._new_sum = 0
-        self._reused_sum = 0
-        self._shared_reused_sum = 0
-        self._generated_sum = 0
-        self._prefill_gpu_sum = 0.0
-        self._decode_gpu_sum = 0.0
-        self._save_block_sum = 0.0
-        self._dropped_sum = 0
+        # Streaming mode folds eval-window turns in as they arrive.
+        self._totals = EvalTotals()
         self._ttft_hist = LogHistogramQuantile()
 
     def record_turn(self, record: TurnRecord) -> None:
@@ -216,23 +253,9 @@ class MetricsCollector:
         self._last_completion = max(self._last_completion, record.completion_time)
         if not self.streaming:
             self.records.append(record)
-            return
-        if not record.in_eval_window:
-            return
-        self._n_eval += 1
-        self._outcome_counts[record.outcome] += 1
-        self._ttft_sum += record.ttft
-        self._queue_delay_sum += record.queue_delay
-        self._prompt_sum += record.prompt_tokens
-        self._new_sum += record.new_tokens
-        self._reused_sum += record.reused_tokens
-        self._shared_reused_sum += record.shared_hit_tokens
-        self._generated_sum += record.generated_tokens
-        self._prefill_gpu_sum += record.prefill_gpu_time
-        self._decode_gpu_sum += record.decode_gpu_share
-        self._save_block_sum += record.save_block_time
-        self._dropped_sum += record.dropped_tokens
-        self._ttft_hist.add(record.ttft)
+        elif record.in_eval_window:
+            self._totals.add(record)
+            self._ttft_hist.add(record.ttft)
 
     def record_turns(self, records: "list[TurnRecord]") -> None:
         """Record a decode chunk's completed turns in one call.
@@ -289,22 +312,8 @@ class MetricsCollector:
         merged = cls(warmup_turns=0, streaming=streaming)
         for collector in collectors:
             merged.records.extend(collector.records)
-            if streaming:
-                merged._n_eval += collector._n_eval
-                for outcome, count in collector._outcome_counts.items():
-                    merged._outcome_counts[outcome] += count
-                merged._ttft_sum += collector._ttft_sum
-                merged._queue_delay_sum += collector._queue_delay_sum
-                merged._prompt_sum += collector._prompt_sum
-                merged._new_sum += collector._new_sum
-                merged._reused_sum += collector._reused_sum
-                merged._shared_reused_sum += collector._shared_reused_sum
-                merged._generated_sum += collector._generated_sum
-                merged._prefill_gpu_sum += collector._prefill_gpu_sum
-                merged._decode_gpu_sum += collector._decode_gpu_sum
-                merged._save_block_sum += collector._save_block_sum
-                merged._dropped_sum += collector._dropped_sum
-                merged._ttft_hist.merge(collector._ttft_hist)
+            merged._totals.merge(collector._totals)
+            merged._ttft_hist.merge(collector._ttft_hist)
             merged._gpu_busy_total += collector._gpu_busy_total
             merged._max_decode_stall = max(
                 merged._max_decode_stall, collector._max_decode_stall
@@ -331,83 +340,41 @@ class MetricsCollector:
     def summarise(self) -> RunSummary:
         """Aggregate over the evaluation window."""
         if self.streaming:
-            return self._summarise_streaming()
-        evals = [r for r in self.records if r.in_eval_window]
-        n = len(evals)
-        # Sums run in recording order (not sorted order) so the streaming
-        # collector, which folds turns in as they arrive, produces the
-        # same float totals bit-for-bit.
-        ttfts = sorted(r.ttft for r in evals)
-        outcome_counts = {outcome: 0 for outcome in TurnOutcome}
-        for r in evals:
-            outcome_counts[r.outcome] += 1
-        n_lookups = sum(
-            count
-            for outcome, count in outcome_counts.items()
-            if outcome is not TurnOutcome.FIRST_TURN
-        )
+            totals = self._totals
+            p95_ttft = self._ttft_hist.quantile(0.95)
+        else:
+            totals = EvalTotals()
+            ttfts: list[float] = []
+            for record in self.records:
+                if record.in_eval_window:
+                    totals.add(record)
+                    ttfts.append(record.ttft)
+            ttfts.sort()
+            rank = min(len(ttfts) - 1, int(0.95 * len(ttfts)))
+            p95_ttft = ttfts[rank] if ttfts else 0.0
+        n = totals.n_turns
+        counts = totals.outcomes
         return RunSummary(
             n_turns=n,
-            n_lookups=n_lookups,
-            hits_dram=outcome_counts[TurnOutcome.HIT_DRAM],
-            hits_disk=outcome_counts[TurnOutcome.HIT_DISK],
-            hits_hbm=outcome_counts[TurnOutcome.HIT_HBM],
-            hits_shared=outcome_counts[TurnOutcome.HIT_SHARED],
-            misses=outcome_counts[TurnOutcome.MISS],
-            fallbacks=outcome_counts[TurnOutcome.FALLBACK_RECOMPUTE],
-            mean_ttft=sum(r.ttft for r in evals) / n if n else 0.0,
-            p95_ttft=ttfts[min(n - 1, int(0.95 * n))] if n else 0.0,
-            mean_queue_delay=(
-                sum(r.queue_delay for r in evals) / n if n else 0.0
-            ),
-            prompt_tokens_total=sum(r.prompt_tokens for r in evals),
-            new_tokens_total=sum(r.new_tokens for r in evals),
-            reused_tokens_total=sum(r.reused_tokens for r in evals),
-            shared_reused_tokens_total=sum(r.shared_hit_tokens for r in evals),
-            generated_tokens_total=sum(r.generated_tokens for r in evals),
-            prefill_gpu_time=sum(r.prefill_gpu_time for r in evals),
-            decode_gpu_time=sum(r.decode_gpu_share for r in evals),
-            save_block_time=sum(r.save_block_time for r in evals),
-            overflow_dropped_tokens=sum(r.dropped_tokens for r in evals),
-            max_decode_stall=self._max_decode_stall,
-            decode_stall_time=self._decode_stall_total,
-            total_gpu_busy_time=self._gpu_busy_total,
-            makespan=(
-                self._last_completion - self._first_arrival
-                if self._first_arrival is not None
-                else 0.0
-            ),
-        )
-
-    def _summarise_streaming(self) -> RunSummary:
-        n = self._n_eval
-        counts = self._outcome_counts
-        n_lookups = sum(
-            count
-            for outcome, count in counts.items()
-            if outcome is not TurnOutcome.FIRST_TURN
-        )
-        return RunSummary(
-            n_turns=n,
-            n_lookups=n_lookups,
+            n_lookups=n - counts[TurnOutcome.FIRST_TURN],
             hits_dram=counts[TurnOutcome.HIT_DRAM],
             hits_disk=counts[TurnOutcome.HIT_DISK],
             hits_hbm=counts[TurnOutcome.HIT_HBM],
             hits_shared=counts[TurnOutcome.HIT_SHARED],
             misses=counts[TurnOutcome.MISS],
             fallbacks=counts[TurnOutcome.FALLBACK_RECOMPUTE],
-            mean_ttft=self._ttft_sum / n if n else 0.0,
-            p95_ttft=self._ttft_hist.quantile(0.95),
-            mean_queue_delay=self._queue_delay_sum / n if n else 0.0,
-            prompt_tokens_total=self._prompt_sum,
-            new_tokens_total=self._new_sum,
-            reused_tokens_total=self._reused_sum,
-            shared_reused_tokens_total=self._shared_reused_sum,
-            generated_tokens_total=self._generated_sum,
-            prefill_gpu_time=self._prefill_gpu_sum,
-            decode_gpu_time=self._decode_gpu_sum,
-            save_block_time=self._save_block_sum,
-            overflow_dropped_tokens=self._dropped_sum,
+            mean_ttft=totals.ttft / n if n else 0.0,
+            p95_ttft=p95_ttft,
+            mean_queue_delay=totals.queue_delay / n if n else 0.0,
+            prompt_tokens_total=totals.prompt_tokens,
+            new_tokens_total=totals.new_tokens,
+            reused_tokens_total=totals.reused_tokens,
+            shared_reused_tokens_total=totals.shared_hit_tokens,
+            generated_tokens_total=totals.generated_tokens,
+            prefill_gpu_time=totals.prefill_gpu_time,
+            decode_gpu_time=totals.decode_gpu_share,
+            save_block_time=totals.save_block_time,
+            overflow_dropped_tokens=totals.dropped_tokens,
             max_decode_stall=self._max_decode_stall,
             decode_stall_time=self._decode_stall_total,
             total_gpu_busy_time=self._gpu_busy_total,

@@ -13,8 +13,7 @@ LLaMA-70B (GQA factor 8) and 0.12 MB for Falcon-40B (GQA factor 16).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 
 MiB = 1024 * 1024
@@ -66,13 +65,6 @@ class ModelSpec:
             raise ValueError(
                 f"context_window must be positive, got {self.context_window}"
             )
-        # kv_bytes sits on the engine's per-turn hot path; a per-instance
-        # bound-closure cache skips re-validating the same token counts
-        # without hashing the spec itself (the frozen dataclass guarantees
-        # the derived size never changes).
-        object.__setattr__(
-            self, "_kv_bytes_cached", lru_cache(maxsize=None)(self._kv_bytes)
-        )
 
     @property
     def gqa_factor(self) -> int:
@@ -97,14 +89,11 @@ class ModelSpec:
         """Model weight footprint in bytes (FP16 unless overridden)."""
         return self.n_params * self.dtype_bytes
 
-    def _kv_bytes(self, n_tokens: int) -> int:
+    def kv_bytes(self, n_tokens: int) -> int:
+        """KV-cache footprint of ``n_tokens`` tokens, in bytes."""
         if n_tokens < 0:
             raise ValueError(f"n_tokens must be non-negative, got {n_tokens}")
         return n_tokens * self.kv_bytes_per_token
-
-    def kv_bytes(self, n_tokens: int) -> int:
-        """KV-cache footprint of ``n_tokens`` tokens, in bytes."""
-        return self._kv_bytes_cached(n_tokens)
 
     def prefill_flops(self, n_new: int, n_past: int = 0) -> float:
         """Approximate FLOPs to prefill ``n_new`` tokens given ``n_past``

@@ -75,6 +75,18 @@ class TestStreamingCollector:
             rel_tol=stream._ttft_hist.relative_error,
         )
 
+    def test_float_sums_are_plain_left_to_right(self):
+        """Both modes add in recording order with ``+=``: 1e16 absorbs each
+        1.0 (a compensated ``sum()`` would keep them, giving 1e16 + 2)."""
+        rng = random.Random(5)
+        records = [_random_record(rng, i) for i in range(3)]
+        for record, ttft in zip(records, (1e16, 1.0, 1.0)):
+            record.ttft = ttft
+        for streaming in (False, True):
+            collector = MetricsCollector(streaming=streaming)
+            collector.record_turns([dataclasses.replace(r) for r in records])
+            assert collector.summarise().mean_ttft == 1e16 / 3, streaming
+
     def test_empty_run(self):
         exact = MetricsCollector().summarise()
         stream = MetricsCollector(streaming=True).summarise()

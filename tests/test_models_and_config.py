@@ -1,5 +1,7 @@
 """Tests for the model registry and configuration dataclasses."""
 
+import pickle
+
 import pytest
 
 from repro.config import (
@@ -75,6 +77,14 @@ class TestModelSpec:
 
 
 class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_spec_pickle_round_trip(self, name):
+        """Process-pool workers receive their arguments pickled."""
+        spec = MODEL_REGISTRY[name]
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.kv_bytes(1000) == spec.kv_bytes(1000)
+
     def test_known_models_present(self):
         for name in (
             "llama-7b", "llama-13b", "llama-65b", "llama-70b",
