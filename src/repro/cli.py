@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Any
 
 from .analysis import (
     capacity_plan,
@@ -54,7 +55,7 @@ from .config import (
 )
 from .engine import RunResult, ServingEngine
 from .faults import FAULT_PROFILES, fault_profile
-from .models import MODEL_REGISTRY, GiB, get_model
+from .models import MODEL_REGISTRY, GiB, ModelSpec, get_model
 from .obs import (
     EventLoopProfiler,
     MetricsRegistry,
@@ -252,28 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("models", help="list registered model specs")
 
-    lint = sub.add_parser(
-        "lint",
-        help="simulator-specific static analysis (determinism, float "
-        "safety, slots hygiene, cluster isolation, typing)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format",
-    )
-    lint.add_argument(
-        "--unused-suppressions",
-        action="store_true",
-        help="report allow comments whose rule never fires",
-    )
     return parser
 
 
@@ -299,7 +278,11 @@ def _load_trace(args: argparse.Namespace) -> Trace:
     )
 
 
-def _build_engine(args: argparse.Namespace, mode: ServingMode) -> ServingEngine:
+def _replica_kwargs(
+    args: argparse.Namespace, mode: ServingMode
+) -> tuple[ModelSpec, dict[str, Any]]:
+    """The model and the per-replica constructor arguments shared by
+    :class:`ServingEngine` and :class:`ClusterEngine`."""
     model = get_model(args.model)
     batch = args.batch_size or model.default_batch_size
     if mode is ServingMode.RECOMPUTE:
@@ -317,42 +300,27 @@ def _build_engine(args: argparse.Namespace, mode: ServingMode) -> ServingEngine:
             policy=EvictionPolicyName(args.policy),
             enable_prefetch=not args.no_prefetch,
         )
-    fault_config = fault_profile(
-        getattr(args, "fault_profile", "none"), seed=getattr(args, "fault_seed", 0)
-    )
-    return ServingEngine(
-        model,
-        hardware=HardwareConfig().for_model(model),
-        engine_config=engine_config,
-        store_config=store_config,
-        warmup_turns=args.warmup_turns,
-        fault_config=fault_config,
-        streaming_metrics=getattr(args, "streaming_metrics", False),
-        sanitize=True if getattr(args, "sanitize", False) else None,
-    )
+    return model, {
+        "hardware": HardwareConfig().for_model(model),
+        "engine_config": engine_config,
+        "store_config": store_config,
+        "warmup_turns": args.warmup_turns,
+        "fault_config": fault_profile(
+            getattr(args, "fault_profile", "none"),
+            seed=getattr(args, "fault_seed", 0),
+        ),
+        "streaming_metrics": getattr(args, "streaming_metrics", False),
+        "sanitize": True if getattr(args, "sanitize", False) else None,
+    }
+
+
+def _build_engine(args: argparse.Namespace, mode: ServingMode) -> ServingEngine:
+    model, kwargs = _replica_kwargs(args, mode)
+    return ServingEngine(model, **kwargs)
 
 
 def _build_cluster(args: argparse.Namespace, mode: ServingMode) -> ClusterEngine:
-    model = get_model(args.model)
-    batch = args.batch_size or model.default_batch_size
-    if mode is ServingMode.RECOMPUTE:
-        engine_config = EngineConfig.recompute_baseline(batch_size=batch)
-        store_config = None
-    else:
-        engine_config = EngineConfig(
-            batch_size=batch,
-            enable_preload=not args.no_preload,
-            enable_async_save=not args.sync_save,
-        )
-        store_config = StoreConfig(
-            dram_bytes=int(args.dram_gb * GiB),
-            ssd_bytes=int(args.ssd_gb * GiB),
-            policy=EvictionPolicyName(args.policy),
-            enable_prefetch=not args.no_prefetch,
-        )
-    fault_config = fault_profile(
-        getattr(args, "fault_profile", "none"), seed=getattr(args, "fault_seed", 0)
-    )
+    model, kwargs = _replica_kwargs(args, mode)
     return ClusterEngine(
         model,
         cluster=ClusterConfig(
@@ -360,13 +328,7 @@ def _build_cluster(args: argparse.Namespace, mode: ServingMode) -> ClusterEngine
             router=RouterName(args.router),
             failover=not getattr(args, "no_failover", False),
         ),
-        hardware=HardwareConfig().for_model(model),
-        engine_config=engine_config,
-        store_config=store_config,
-        warmup_turns=args.warmup_turns,
-        fault_config=fault_config,
-        streaming_metrics=getattr(args, "streaming_metrics", False),
-        sanitize=True if getattr(args, "sanitize", False) else None,
+        **kwargs,
     )
 
 
@@ -386,6 +348,27 @@ def _validate_fault_topology(args: argparse.Namespace) -> None:
             f"{instances} provides replicas 0..{instances - 1}; rerun with "
             f"--instances {schedule.max_replica + 1} or higher"
         )
+
+
+def _validate_args(args: argparse.Namespace) -> None:
+    """Reject ``run``/``trace`` flags that the rest of the command line
+    would make a silent no-op: exit 2 with a message naming the flag."""
+    _validate_fault_topology(args)
+    problem = None
+    if args.trace is not None and not args.trace.is_file():
+        problem = f"--trace {args.trace}: no such file"
+    elif args.trace is not None and args.share_ratio > 0:
+        problem = (
+            "--share-ratio only shapes synthesised traces; it has no effect "
+            "with --trace"
+        )
+    elif args.instances == 1 and args.no_failover:
+        problem = "--no-failover needs --instances > 1"
+    elif args.instances == 1 and args.router != RouterName.AFFINITY.value:
+        problem = f"--router {args.router} needs --instances > 1"
+    if problem is not None:
+        print(f"repro {args.command}: error: {problem}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _cluster_rows(result: ClusterResult) -> list[list[str]]:
@@ -467,7 +450,7 @@ def _write_metrics(path: Path, registry: MetricsRegistry) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     mode = ServingMode.CACHED if args.mode == "ca" else ServingMode.RECOMPUTE
-    _validate_fault_topology(args)
+    _validate_args(args)
     trace = _load_trace(args)
     if args.instances > 1:
         cluster = _build_cluster(args, mode)
@@ -521,7 +504,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Serve a trace with a span tracer attached and export the trace."""
     mode = ServingMode.CACHED if args.mode == "ca" else ServingMode.RECOMPUTE
-    _validate_fault_topology(args)
+    _validate_args(args)
     trace = _load_trace(args)
     tracer = SpanTracer()
     if args.instances > 1:
@@ -704,18 +687,6 @@ def cmd_models(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run repro-lint over the given paths (exit 1 on findings)."""
-    from .lint.checker import run_lint
-
-    argv = list(args.paths)
-    if args.format != "text":
-        argv.extend(["--format", args.format])
-    if args.unused_suppressions:
-        argv.append("--unused-suppressions")
-    return run_lint(argv)
-
-
 COMMANDS = {
     "workload": cmd_workload,
     "run": cmd_run,
@@ -724,7 +695,6 @@ COMMANDS = {
     "compare": cmd_compare,
     "capacity": cmd_capacity,
     "models": cmd_models,
-    "lint": cmd_lint,
 }
 
 

@@ -12,8 +12,8 @@ percent.
 Wall-clock reads here are deliberate and justified: they measure the
 *host* cost of the loop and never enter simulated state, so profiled
 runs remain bit-identical to unprofiled runs (the dispatch order and
-the callbacks' arguments are untouched).  The determinism linter's
-``wall-clock`` rule is suppressed line-by-line with that rationale.
+the callbacks' arguments are untouched).  The golden replays under
+random host clocks (``tests/sim/test_golden_digest.py``) hold that line.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class EventLoopProfiler:
     def install(self, sim: "Simulator") -> None:
         """Attach to a simulator; its loop hands every event to us."""
         sim.profiler = self
-        self._wall_start = time.perf_counter()  # repro-lint: allow=wall-clock (host-side profiling only; never enters simulated state)
+        self._wall_start = time.perf_counter()
 
     def run_event(self, callback: Callable[[], None]) -> None:
         """Run one event's callback, counting it and occasionally timing it.
@@ -112,9 +112,9 @@ class EventLoopProfiler:
         if self._n_events % self.sample_every:
             callback()
             return
-        start = time.perf_counter()  # repro-lint: allow=wall-clock (host-side profiling only; never enters simulated state)
+        start = time.perf_counter()
         callback()
-        elapsed = time.perf_counter() - start  # repro-lint: allow=wall-clock (host-side profiling only; never enters simulated state)
+        elapsed = time.perf_counter() - start
         self._sampled[name] = self._sampled.get(name, 0) + 1
         self._sampled_s[name] = self._sampled_s.get(name, 0.0) + elapsed
 
@@ -123,7 +123,7 @@ class EventLoopProfiler:
         if self._wall_start is None:
             wall = 0.0
         else:
-            wall = time.perf_counter() - self._wall_start  # repro-lint: allow=wall-clock (host-side profiling only; never enters simulated state)
+            wall = time.perf_counter() - self._wall_start
         estimates: dict[str, tuple[float, float]] = {}
         for name, count in self._counts.items():
             sampled = self._sampled.get(name, 0)

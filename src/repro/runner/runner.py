@@ -60,19 +60,19 @@ def _execute_point(worker: SweepWorker, point: SweepPoint, seed: int) -> PointRe
     # The three perf_counter reads below time the *host-side* execution of
     # a sweep point for operator reporting; the value never feeds simulated
     # state or results, so determinism is unaffected.
-    start = time.perf_counter()  # repro-lint: allow=wall-clock (host-side duration metric, never enters simulated state)
+    start = time.perf_counter()
     try:
         value = worker(point, seed)
     except Exception:
         return PointResult(
             key=point.key,
             error=traceback.format_exc(),
-            duration=time.perf_counter() - start,  # repro-lint: allow=wall-clock (host-side duration metric, never enters simulated state)
+            duration=time.perf_counter() - start,
         )
     return PointResult(
         key=point.key,
         value=value,
-        duration=time.perf_counter() - start,  # repro-lint: allow=wall-clock (host-side duration metric, never enters simulated state)
+        duration=time.perf_counter() - start,
     )
 
 

@@ -1,7 +1,6 @@
 """SimSan: a runtime sanitizer for the CachedAttention simulator.
 
-Static analysis (:mod:`repro.lint`) proves properties of the *code*; SimSan
-checks properties of a *run*.  When enabled it instruments the live
+SimSan checks properties of a *run*.  When enabled it instruments the live
 objects — no behavioural change, only assertions — and verifies, per
 simulated event:
 

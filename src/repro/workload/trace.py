@@ -75,6 +75,9 @@ class Conversation:
     shared_prefix_tokens: int = 0
 
     def __post_init__(self) -> None:
+        if self.session_id < 0:
+            # Negative ids name the store's shared-prefix blocks.
+            raise ValueError(f"session_id must be >= 0, got {self.session_id}")
         if not 0.0 <= self.arrival_time < inf:
             raise ValueError(
                 f"arrival_time must be finite and >= 0, got {self.arrival_time}"
@@ -174,20 +177,40 @@ class Trace:
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
-        """Parse a trace previously produced by :meth:`to_json`."""
+        """Parse a trace previously produced by :meth:`to_json`.
+
+        Raises ``ValueError`` naming the conversation index and the field
+        for a missing field, a count that is not an ``int`` (``bool``
+        included), a time that is not a number, or a value the data model
+        rejects.
+        """
         payload = json.loads(text)
         conversations = []
-        for c in payload["conversations"]:
-            prefix_id, prefix_tokens = c.get("shared_prefix", (0, 0))
-            conversations.append(
-                Conversation(
-                    session_id=c["session_id"],
-                    arrival_time=c["arrival_time"],
-                    turns=tuple(Turn(q, a, think) for q, a, think in c["turns"]),
-                    shared_prefix_id=prefix_id,
-                    shared_prefix_tokens=prefix_tokens,
+        for index, c in enumerate(payload["conversations"]):
+            try:
+                prefix_id, prefix_tokens = c.get("shared_prefix", (0, 0))
+                conversations.append(
+                    Conversation(
+                        session_id=_int(c["session_id"], "session_id"),
+                        arrival_time=_number(c["arrival_time"], "arrival_time"),
+                        turns=tuple(
+                            Turn(
+                                _int(q, f"turn {t} q_tokens"),
+                                _int(a, f"turn {t} a_tokens"),
+                                _number(think, f"turn {t} think_time"),
+                            )
+                            for t, (q, a, think) in enumerate(c["turns"])
+                        ),
+                        shared_prefix_id=_int(prefix_id, "shared_prefix id"),
+                        shared_prefix_tokens=_int(
+                            prefix_tokens, "shared_prefix tokens"
+                        ),
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise ValueError(f"conversation {index}: missing {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"conversation {index}: {exc}") from exc
         return cls(conversations=conversations, metadata=payload.get("metadata", {}))
 
     def save(self, path: str | Path) -> None:
@@ -196,6 +219,18 @@ class Trace:
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
         return cls.from_json(Path(path).read_text())
+
+
+def _int(value: object, name: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _number(value: object, name: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def merge_traces(traces: Iterable[Trace]) -> Trace:

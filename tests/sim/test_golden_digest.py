@@ -1,4 +1,4 @@
-"""Golden digests of two full replays: the simulation core's oracle.
+"""Golden digests of three full replays: the simulation core's oracle.
 
 Each replay runs a fixed workload with a span tracer attached and hashes
 everything the run exposes: ``repr`` of the result, the event count, the
@@ -17,7 +17,7 @@ reaches simulated state.
 A digest mismatch means a run changed.  If the change is intended, record
 the new digest and say in the commit why the run moved.
 
-``python tests/sim/test_golden_digest.py`` prints both digests.
+``python tests/sim/test_golden_digest.py`` prints all three digests.
 """
 
 import gc
@@ -38,7 +38,7 @@ from repro.engine import ServingEngine
 from repro.faults import fault_profile
 from repro.models import MiB, get_model
 from repro.obs import SpanTracer
-from repro.workload import WorkloadSpec, generate_trace
+from repro.workload import WorkloadSpec, generate_trace, stream_trace
 
 #: 50 llama-13b sessions with 300 MiB of DRAM: spill, prefetch and eviction.
 TIGHT_DRAM_DIGEST = "f6f9d112b7499c6c4f77d0abde5483d1a8bf2fa808d7eb8402a0aa217560c62d"
@@ -46,6 +46,10 @@ TIGHT_DRAM_DIGEST = "f6f9d112b7499c6c4f77d0abde5483d1a8bf2fa808d7eb8402a0aa21756
 #: Re-recorded when the crash failover fan-out became one event: the run's
 #: event count fell from 8,486 to 8,485 and every other part hashed the same.
 CHAOS_CLUSTER_DIGEST = "96f9935e0ab42dc63bc2ca68f7083fc916590ddaab1a113a62fd84c2886893d2"
+#: 60 streamed sessions, half behind 2 shared templates, 600 MiB of DRAM,
+#: under the ``chaos`` fault profile: shared-block lookup, registration and
+#: copy-on-write forks, spills, and corrupt-miss fallbacks.
+SHARED_CHAOS_DIGEST = "c75dbcf13a1cbd7549a2c9d501f84bb25cafc5f6024b17722fc114a68ec5b500"
 
 
 def run_digest(result, sim, tracer) -> str:
@@ -91,10 +95,33 @@ def chaos_cluster_replay() -> str:
     return run_digest(result, cluster.sim, tracer)
 
 
+def shared_chaos_replay() -> str:
+    engine = ServingEngine(
+        get_model("llama-13b"),
+        engine_config=EngineConfig(batch_size=8),
+        store_config=StoreConfig(dram_bytes=int(600 * MiB)),
+        fault_config=fault_profile("chaos", seed=5),
+    )
+    tracer = SpanTracer()
+    tracer.attach_engine(engine)
+    spec = WorkloadSpec(
+        n_sessions=60,
+        seed=21,
+        shared_prefix_fraction=0.5,
+        shared_prefix_len=120,
+        n_shared_prefixes=2,
+    )
+    result = engine.run(stream_trace(spec))
+    stats = result.store_stats
+    assert stats.shared_hits and stats.cow_forks and stats.corrupt_misses
+    return run_digest(result, engine.sim, tracer)
+
+
 #: Replay name -> (replay, its golden digest).
 REPLAYS = {
     "tight-dram": (tight_dram_replay, TIGHT_DRAM_DIGEST),
     "chaos-cluster": (chaos_cluster_replay, CHAOS_CLUSTER_DIGEST),
+    "shared-chaos": (shared_chaos_replay, SHARED_CHAOS_DIGEST),
 }
 
 
@@ -104,6 +131,10 @@ def test_tight_dram_replay_digest():
 
 def test_chaos_cluster_replay_digest():
     assert chaos_cluster_replay() == CHAOS_CLUSTER_DIGEST
+
+
+def test_shared_chaos_replay_digest():
+    assert shared_chaos_replay() == SHARED_CHAOS_DIGEST
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1", "12345"])

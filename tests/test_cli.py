@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _validate_args, build_parser, main
 
 
 class TestParser:
@@ -89,3 +89,37 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "CCpUT" in out
         assert "DSpUT" in out
+
+
+class TestFlagValidation:
+    """``run``/``trace`` flags that would be silently ignored exit 2."""
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--trace", "{trace}", "--share-ratio", "0.5"], "--share-ratio"),
+            (["--no-failover"], "--no-failover"),
+            (["--router", "least-loaded"], "--router least-loaded"),
+            (["--trace", "{missing}"], "missing.json: no such file"),
+        ],
+    )
+    def test_ignored_flag_exits_2(self, command, flags, named, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        main(["workload", "--sessions", "2", "--out", str(trace)])
+        argv = [command] + [
+            f.format(trace=trace, missing=tmp_path / "missing.json") for f in flags
+        ]
+        if command == "trace":
+            argv += ["-o", str(tmp_path / "chrome.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "chrome.json").exists()
+
+    def test_cluster_flags_pass_with_instances(self):
+        args = build_parser().parse_args(
+            ["run", "--instances", "2", "--router", "rr", "--no-failover"]
+        )
+        _validate_args(args)

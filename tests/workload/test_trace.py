@@ -64,6 +64,11 @@ class TestConversation:
         with pytest.raises(ValueError, match="arrival_time"):
             conv(arrival=-1.0)
 
+    def test_rejects_negative_session_id(self):
+        # Negative ids are the store's shared-prefix pseudo ids.
+        with pytest.raises(ValueError, match="session_id must be >= 0, got -3"):
+            conv(session_id=-3)
+
 
 class TestTrace:
     def test_sorted_by_arrival(self):
@@ -105,6 +110,43 @@ class TestTrace:
         good["conversations"][0]["turns"][1][2] = bad
         with pytest.raises(ValueError, match="think_time"):
             Trace.from_json(json.dumps(good))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("turns", 0, 0), 10.5, "turn 0 q_tokens must be an int, got 10.5"),
+            (("turns", 1, 0), True, "turn 1 q_tokens must be an int, got True"),
+            (("turns", 0, 1), "8", "turn 0 a_tokens must be an int, got '8'"),
+            (("session_id",), "a", "session_id must be an int, got 'a'"),
+            (("session_id",), False, "session_id must be an int, got False"),
+            (("session_id",), -3, "session_id must be >= 0, got -3"),
+            (("arrival_time",), "1", "arrival_time must be a number, got '1'"),
+            (("turns", 1, 2), None, "turn 1 think_time must be a number, got None"),
+        ],
+    )
+    def test_from_json_names_conversation_and_field(self, path, value, message):
+        payload = json.loads(Trace(conversations=[conv(0), conv(1, 1.0)]).to_json())
+        target = payload["conversations"][1]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError) as exc:
+            Trace.from_json(json.dumps(payload))
+        assert str(exc.value) == f"conversation 1: {message}"
+
+    def test_from_json_names_missing_field(self):
+        payload = json.loads(Trace(conversations=[conv(0)]).to_json())
+        del payload["conversations"][0]["turns"]
+        with pytest.raises(ValueError, match="conversation 0: missing 'turns'"):
+            Trace.from_json(json.dumps(payload))
+
+    def test_from_json_accepts_integral_times(self):
+        payload = json.loads(Trace(conversations=[conv(0)]).to_json())
+        payload["conversations"][0]["arrival_time"] = 2
+        payload["conversations"][0]["turns"][1][2] = 3
+        restored = Trace.from_json(json.dumps(payload))
+        assert restored.conversations[0].arrival_time == 2
+        assert restored.conversations[0].turns[1].think_time == 3
 
     def test_save_load(self, tmp_path):
         t = Trace(conversations=[conv(0)])
