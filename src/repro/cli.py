@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from .analysis import (
     capacity_plan,
@@ -270,7 +270,10 @@ def _sharing_fields(args: argparse.Namespace) -> dict:
 
 def _load_trace(args: argparse.Namespace) -> Trace:
     if args.trace is not None:
-        return Trace.load(args.trace)
+        try:
+            return Trace.load(args.trace)
+        except (ValueError, KeyError, TypeError) as exc:
+            _fail(args, f"{args.trace}: {exc}")
     return generate_trace(
         WorkloadSpec(
             n_sessions=args.sessions, seed=args.seed, **_sharing_fields(args)
@@ -332,43 +335,51 @@ def _build_cluster(args: argparse.Namespace, mode: ServingMode) -> ClusterEngine
     )
 
 
-def _validate_fault_topology(args: argparse.Namespace) -> None:
-    """Fail fast when a replica-fault profile needs more ``--instances``."""
-    config = fault_profile(
-        getattr(args, "fault_profile", "none"), seed=getattr(args, "fault_seed", 0)
-    )
-    schedule = config.replica_schedule if config is not None else None
-    if schedule is None or not schedule.enabled:
-        return
-    instances = getattr(args, "instances", 1)
-    if instances <= schedule.max_replica:
-        raise SystemExit(
-            f"error: --fault-profile {args.fault_profile} schedules replica "
-            f"faults up to replica {schedule.max_replica}, but --instances "
-            f"{instances} provides replicas 0..{instances - 1}; rerun with "
-            f"--instances {schedule.max_replica + 1} or higher"
-        )
+def _fail(args: argparse.Namespace, problem: str) -> NoReturn:
+    print(f"repro {args.command}: error: {problem}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+#: Numeric flags and the least value each accepts.
+_FLAG_FLOORS = (
+    ("sessions", 1),
+    ("instances", 1),
+    ("batch_size", 1),
+    ("warmup_turns", 0),
+    ("dram_gb", 0.0),
+    ("ssd_gb", 0.0),
+)
 
 
 def _validate_args(args: argparse.Namespace) -> None:
-    """Reject ``run``/``trace`` flags that the rest of the command line
-    would make a silent no-op: exit 2 with a message naming the flag."""
-    _validate_fault_topology(args)
-    problem = None
-    if args.trace is not None and not args.trace.is_file():
-        problem = f"--trace {args.trace}: no such file"
-    elif args.trace is not None and args.share_ratio > 0:
-        problem = (
-            "--share-ratio only shapes synthesised traces; it has no effect "
-            "with --trace"
+    """Exit 2 naming the flag when a value is out of range, ``--trace``
+    names no file, or a flag would be a silent no-op given the rest of the
+    command line.  Every command that builds a trace or configs runs it."""
+    for attr, floor in _FLAG_FLOORS:
+        value = getattr(args, attr, None)
+        if value is not None and not value >= floor:
+            _fail(args, f"--{attr.replace('_', '-')} {value}: must be >= {floor}")
+    trace = getattr(args, "trace", None)
+    if trace is not None and not trace.is_file():
+        _fail(args, f"--trace {trace}: no such file")
+    profile = getattr(args, "fault_profile", "none")
+    faults = fault_profile(profile, seed=getattr(args, "fault_seed", 0))
+    schedule = faults.replica_schedule if faults is not None else None
+    instances = getattr(args, "instances", 1)
+    if schedule is not None and schedule.enabled and instances <= schedule.max_replica:
+        _fail(
+            args,
+            f"--fault-profile {profile} schedules faults up to replica "
+            f"{schedule.max_replica}; it needs --instances "
+            f"{schedule.max_replica + 1} or more, got {instances}",
         )
-    elif args.instances == 1 and args.no_failover:
-        problem = "--no-failover needs --instances > 1"
-    elif args.instances == 1 and args.router != RouterName.AFFINITY.value:
-        problem = f"--router {args.router} needs --instances > 1"
-    if problem is not None:
-        print(f"repro {args.command}: error: {problem}", file=sys.stderr)
-        raise SystemExit(2)
+    if trace is not None and getattr(args, "share_ratio", 0.0) > 0:
+        _fail(args, "--share-ratio only shapes synthesised traces, not --trace")
+    if getattr(args, "instances", 2) == 1:
+        if args.no_failover:
+            _fail(args, "--no-failover needs --instances > 1")
+        if args.router != RouterName.AFFINITY.value:
+            _fail(args, f"--router {args.router} needs --instances > 1")
 
 
 def _cluster_rows(result: ClusterResult) -> list[list[str]]:
@@ -414,6 +425,7 @@ def _summary_rows(result: RunResult) -> list[list[str]]:
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
+    _validate_args(args)
     trace = generate_trace(
         WorkloadSpec(
             n_sessions=args.sessions,
@@ -561,7 +573,6 @@ def _sweep_worker(point: SweepPoint, seed: int) -> RunResult:
 
 
 def cmd_run_sweep(args: argparse.Namespace) -> int:
-    _validate_fault_topology(args)
     attr, parse = SWEEP_PARAMS[args.param]
     values = [parse(v.strip()) for v in args.values.split(",") if v.strip()]
     if not values:
@@ -574,6 +585,10 @@ def cmd_run_sweep(args: argparse.Namespace) -> int:
         SweepPoint(key=f"{args.param}={value}", params={**base, attr: value})
         for value in values
     ]
+    for point in points:
+        _validate_args(argparse.Namespace(command=args.command, **point.params))
+    if args.trace is not None:
+        _load_trace(args)  # a malformed file fails here, not in every worker
     results = run_sweep(
         _sweep_worker, points, jobs=args.jobs, base_seed=args.base_seed
     )
@@ -610,6 +625,7 @@ def cmd_run_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _validate_args(args)
     trace = _load_trace(args)
     results = {}
     for mode in (ServingMode.CACHED, ServingMode.RECOMPUTE):
@@ -645,6 +661,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
+    _validate_args(args)
     trace = _load_trace(args)
     model = get_model(args.model)
     plan = capacity_plan(model, trace, ttl_seconds=args.ttl)

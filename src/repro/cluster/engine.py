@@ -17,10 +17,11 @@ replica 0" and the cluster reproduces a standalone engine bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import TYPE_CHECKING, Callable
 
 from ..config import EngineConfig, HardwareConfig, ServingMode, StoreConfig
-from ..engine.engine import RunResult, ServingEngine, TurnCounter
+from ..engine.engine import RunResult, ServingEngine
 from ..engine.metrics import MetricsCollector, RunSummary
 from ..engine.session import SessionState
 from ..faults import FaultConfig, FaultInjector, ReplicaCrash, ReplicaDrain
@@ -145,7 +146,7 @@ class ClusterEngine:
         self.schedule = schedule
 
         self.sim = Simulator()
-        self.turn_counter = TurnCounter()
+        self.turn_counter = count()
         # One shared inter-host link: concurrent migrations contend on it.
         self.net = Channel("cluster-net", self.cluster.net_bandwidth)
         self.engines: list[ServingEngine] = []

@@ -1,7 +1,7 @@
 """The LLM serving engine: RE baseline and CachedAttention (CA)."""
 
 from .batching import ActiveJob, BatchState
-from .engine import RunResult, ServingEngine, TurnCounter
+from .engine import RunResult, ServingEngine
 from .metrics import MetricsCollector, RunSummary, TurnOutcome, TurnRecord
 from .overlap import (
     async_save_blocking_time,
@@ -28,7 +28,6 @@ __all__ = [
     "ServingEngine",
     "SessionState",
     "TruncationOutcome",
-    "TurnCounter",
     "TurnOutcome",
     "TurnRecord",
     "TurnRequest",

@@ -19,7 +19,8 @@ contend on shared PCIe and SSD :class:`~repro.sim.Channel` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import count
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..config import (
@@ -32,7 +33,15 @@ from ..config import (
 from ..faults import FaultConfig, FaultInjector
 from ..hardware.perf import PerfModel
 from ..models import ModelSpec
-from ..sanitize import install_engine, sanitize_enabled
+from ..sanitize import (
+    check_gpu_busy,
+    check_overlap_envelope,
+    check_save_blocking_envelope,
+    check_saved_bytes,
+    check_turn_plan,
+    install_engine,
+    sanitize_enabled,
+)
 from ..sim.channel import Channel, ChannelPair, FaultyTransfer
 from ..sim.loop import Simulator
 from ..store.attention_store import (
@@ -42,7 +51,7 @@ from ..store.attention_store import (
     StoreStats,
 )
 from ..store.item import Tier
-from ..store.sharing import shared_prefix_hash
+from ..store.sharing import SharedLookup, shared_prefix_hash
 from ..workload.trace import Conversation, Trace
 from .batching import ActiveJob, BatchState
 from .continuations import (
@@ -68,7 +77,13 @@ from .overlap import (
 from .queue import SchedulerQueue
 from .request import TurnRequest
 from .session import SessionState
-from .truncation import apply_context_window, clamp_decode_tokens
+from .truncation import (
+    TruncationOutcome,
+    TurnPlan,
+    apply_context_window,
+    clamp_decode_tokens,
+    plan_turn,
+)
 
 if TYPE_CHECKING:
     from ..obs.spans import SpanTracer
@@ -91,24 +106,6 @@ class RunResult:
         return self.mode is ServingMode.CACHED
 
 
-class TurnCounter:
-    """Monotonic global turn numbering, shareable across engine replicas.
-
-    A cluster passes one counter to every replica so warm-up windows and
-    merged metrics use cluster-global turn order; a standalone engine owns
-    a private one, which reproduces the original per-engine numbering.
-    """
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def next(self) -> int:
-        """Return the next global turn number."""
-        value = self._next
-        self._next += 1
-        return value
-
-
 class ServingEngine:
     """Simulated LLM serving engine for multi-turn conversation traces."""
 
@@ -128,7 +125,7 @@ class ServingEngine:
         pcie_h2d: Channel | None = None,
         pcie_d2h: Channel | None = None,
         ssd: Channel | None = None,
-        turn_counter: TurnCounter | None = None,
+        turn_counter: Iterator[int] | None = None,
         name: str = "engine",
         sanitize: bool | None = None,
     ) -> None:
@@ -208,7 +205,9 @@ class ServingEngine:
         #: History tokens recomputed because their turn failed over from a
         #: crashed replica (the failover recompute burden).
         self.failover_recompute_tokens = 0
-        self._turn_counter = turn_counter if turn_counter is not None else TurnCounter()
+        # Global turn numbers: a cluster passes one counter to every
+        # replica, so warm-up windows follow cluster-wide turn order.
+        self._turn_counter = turn_counter if turn_counter is not None else count()
         self._remaining_sessions = 0
         self._hbm_budget_tokens = self._compute_hbm_budget_tokens()
         self._hbm_reserved_tokens = 0
@@ -323,6 +322,8 @@ class ServingEngine:
 
     def result(self) -> RunResult:
         """Aggregate results after the simulator has drained."""
+        if self.sanitized and self._epoch == 0:
+            check_gpu_busy(self.metrics)
         return RunResult(
             summary=self.metrics.summarise(),
             store_stats=self.store.stats if self.store else None,
@@ -427,7 +428,7 @@ class ServingEngine:
             q_tokens=turn.q_tokens,
             a_tokens=turn.a_tokens,
             arrival_time=self._clock.now if arrival_time is None else arrival_time,
-            global_turn=self._turn_counter.next(),
+            global_turn=next(self._turn_counter),
             failover=failover,
         )
         self.queue.push(request)
@@ -456,7 +457,7 @@ class ServingEngine:
                 if self.store is not None:
                     self.store.pin(request.session_id)
                 self._prefetch()
-                self._start_prefill(request)
+                self._start_turn(request)
                 return
         if self.batch:
             self._start_decode_chunk()
@@ -471,124 +472,23 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Prefill
     # ------------------------------------------------------------------
-    def _start_prefill(self, request: TurnRequest) -> None:
+    def _start_turn(self, request: TurnRequest) -> None:
+        """Plan an admitted turn, run the plan's effects, start its prefill."""
         session = self.sessions[request.session_id]
         now = self._clock.now
-        outcome = apply_context_window(
+        kept = apply_context_window(
             session.history_tokens,
             request.q_tokens,
             self.model.context_window,
             self.config.truncation_ratio,
         )
-        dropped_from_history = session.history_tokens - outcome.history_tokens
-        if dropped_from_history:
-            session.record_truncation(dropped_from_history)
-            if self.store is not None:
-                # KV-cache truncation: keeps the cache valid only when the
-                # positions were decoupled at save time (Section 3.4).
-                # For a prefix-sharing session this is the copy-on-write
-                # point: the store forks any kept prefix tokens into the
-                # private item and releases the shared reference.
-                self.store.truncate(request.session_id, outcome.history_tokens)
-        if outcome.dropped_tokens and session.conversation.shared_prefix_tokens:
-            # Any truncation diverges the session from its shared prefix
-            # for good (histories only append; see SessionState).
-            session.shared_detached = True
-
-        prompt = outcome.prompt_tokens
-        reused = 0
-        shared_hit = 0
-        load_time = 0.0
-        turn_outcome = TurnOutcome.FIRST_TURN
-        shared_hash = self._shared_hash_of(session)
-
-        if request.turn_index == 0:
-            if shared_hash is not None:
-                assert self.store is not None
-                sh = self.store.lookup_shared(shared_hash, now)
-                if sh is not None:
-                    hit_tokens = min(sh.n_tokens, prompt)
-                    load = self._kv_load_time(sh.status, sh.ready_at, hit_tokens)
-                    if load is not None:
-                        # A first turn that skips its prefix: the only
-                        # outcome where turn 0 reuses KV.
-                        self.store.acquire_shared(shared_hash, request.session_id)
-                        reused = shared_hit = hit_tokens
-                        load_time = load
-                        turn_outcome = TurnOutcome.HIT_SHARED
-        else:
-            turn_outcome = TurnOutcome.MISS
-            if request.failover:
-                # The turn was interrupted by a replica crash and re-routed
-                # here; whatever KV survives is unreachable on this replica
-                # (exactly-one-copy), so the history recomputes in full.
-                turn_outcome = TurnOutcome.FALLBACK_RECOMPUTE
-                if self.store is not None:
-                    self.store.stats.fallback_recomputes += 1
-            elif self.store is not None and outcome.history_tokens > 0:
-                result = self.store.lookup(request.session_id, now)
-                if result.status is LookupStatus.MISS_CORRUPT:
-                    # Checksum mismatch: the cache is dropped, never
-                    # served; this turn recomputes its history in full.
-                    turn_outcome = TurnOutcome.FALLBACK_RECOMPUTE
-                    self.store.stats.fallback_recomputes += 1
-                else:
-                    sh = (
-                        self.store.lookup_shared(shared_hash, now)
-                        if shared_hash is not None
-                        else None
-                    )
-                    if result.hit and shared_hash is not None and sh is None:
-                        # The private suffix survives but its prefix block
-                        # is gone: KV is only readable prefix-first, so
-                        # the suffix is unusable.  Drop it and recompute.
-                        self.store.drop(request.session_id)
-                        result = LookupResult(LookupStatus.MISS)
-                    if result.hit:
-                        extra = sh.n_tokens if sh is not None else 0
-                        reused = min(result.n_tokens + extra, outcome.history_tokens)
-                        shared_hit = min(extra, reused)
-                        private_part = reused - shared_hit
-                        load = self._kv_load_time(
-                            result.status, result.ready_at, private_part
-                        )
-                        shared_load = (
-                            self._kv_load_time(sh.status, sh.ready_at, shared_hit)
-                            if sh is not None and shared_hit
-                            else 0.0
-                        )
-                        if load is None or shared_load is None:
-                            # The KV load failed past the retry budget (or
-                            # the SSD breaker is open): degrade to recompute.
-                            turn_outcome = TurnOutcome.FALLBACK_RECOMPUTE
-                            self.store.stats.fallback_recomputes += 1
-                            reused = shared_hit = 0
-                        else:
-                            turn_outcome = TurnOutcome.from_lookup(result.status)
-                            # Private and shared loads overlap; contention
-                            # on a common channel is already serialised by
-                            # the channel model.
-                            load_time = max(load, shared_load)
-                            if shared_hit:
-                                self.store.acquire_shared(
-                                    shared_hash, request.session_id  # type: ignore[arg-type]
-                                )
-                    elif sh is not None:
-                        # Private miss, shared hit: the prefix alone is
-                        # still a partial skip of the recompute.
-                        hit_tokens = min(sh.n_tokens, outcome.history_tokens)
-                        load = self._kv_load_time(sh.status, sh.ready_at, hit_tokens)
-                        if load is not None:
-                            self.store.acquire_shared(shared_hash, request.session_id)
-                            reused = shared_hit = hit_tokens
-                            load_time = load
-                            turn_outcome = TurnOutcome.HIT_SHARED
-
-        new_tokens = prompt - reused
+        plan, load_time = self._apply_turn(request, session, kept, now)
+        prompt = kept.prompt_tokens
+        new_tokens = plan.new
         if request.failover:
             self.failover_recompute_tokens += new_tokens
         compute_time = (
-            self.perf.prefill_time(new_tokens, reused)
+            self.perf.prefill_time(new_tokens, plan.reused)
             / self.config.prefill_efficiency_factor
         )
         if load_time > 0.0:
@@ -604,6 +504,8 @@ class ServingEngine:
         else:
             # Nothing to load (cold turn or HBM-cache hit): pure compute.
             duration = compute_time
+        if self.sanitized:
+            check_overlap_envelope(duration, compute_time, load_time)
 
         generate = clamp_decode_tokens(
             prompt, request.a_tokens, self.model.context_window
@@ -617,17 +519,17 @@ class ServingEngine:
             session_id=request.session_id,
             turn_index=request.turn_index,
             global_turn=request.global_turn,
-            outcome=turn_outcome,
+            outcome=plan.outcome,
             arrival_time=request.arrival_time,
             prefill_start=now,
             prompt_tokens=prompt,
             new_tokens=new_tokens,
-            reused_tokens=reused,
+            reused_tokens=plan.reused,
             generated_tokens=generate,
             ttft=duration,
             prefill_gpu_time=duration,
-            dropped_tokens=outcome.dropped_tokens,
-            shared_hit_tokens=shared_hit,
+            dropped_tokens=kept.dropped_tokens,
+            shared_hit_tokens=plan.shared,
         )
         job = ActiveJob(
             request=request,
@@ -650,70 +552,36 @@ class ServingEngine:
         compute_time: float,
         load_time: float,
     ) -> None:
-        """Emit queue-wait / preload / prefill spans for one starting turn.
-
-        Everything recorded here was already computed by
-        :meth:`_start_prefill`; this only copies it into the tracer.
-        """
-        tracer = self.tracer
-        assert tracer is not None
-        track = self.name
+        """Emit queue-wait / preload / shared-hit / prefill spans for one
+        starting turn, copied from what :meth:`_start_turn` computed."""
+        assert self.tracer is not None
+        span = partial(self.tracer.span, track=self.name)
         duration = record.prefill_gpu_time
-        tracer.span(
-            "queue-wait",
-            "queue",
-            request.arrival_time,
-            now,
-            lane="queue",
-            track=track,
-            args={"session": request.session_id, "turn": request.turn_index},
-        )
+        ids: dict[str, object] = {
+            "session": request.session_id,
+            "turn": request.turn_index,
+        }
+        span("queue-wait", "queue", request.arrival_time, now, lane="queue", args=ids)
         if load_time > 0.0:
             hidden, exposed = overlap_exposure(compute_time, load_time, duration)
-            tracer.span(
-                "preload",
-                "kv",
-                now,
-                now + load_time,
-                lane="kv-load",
-                track=track,
-                args={
-                    "session": request.session_id,
-                    "reused_tokens": record.reused_tokens,
-                    "hidden_s": hidden,
-                    "exposed_s": exposed,
-                },
-            )
-        if record.shared_hit_tokens > 0:
-            tracer.span(
-                "shared-hit",
-                "kv",
-                now,
-                now + load_time,
-                lane="kv-load",
-                track=track,
-                args={
-                    "session": request.session_id,
-                    "turn": request.turn_index,
-                    "shared_tokens": record.shared_hit_tokens,
-                },
-            )
-        tracer.span(
-            "prefill",
-            "gpu",
-            now,
-            now + duration,
-            lane="gpu",
-            track=track,
-            args={
+            preload: dict[str, object] = {
                 "session": request.session_id,
-                "turn": request.turn_index,
-                "prompt_tokens": record.prompt_tokens,
-                "new_tokens": record.new_tokens,
                 "reused_tokens": record.reused_tokens,
-                "outcome": record.outcome.value,
-            },
-        )
+                "hidden_s": hidden,
+                "exposed_s": exposed,
+            }
+            span("preload", "kv", now, now + load_time, lane="kv-load", args=preload)
+        if record.shared_hit_tokens > 0:
+            shared = {**ids, "shared_tokens": record.shared_hit_tokens}
+            span("shared-hit", "kv", now, now + load_time, lane="kv-load", args=shared)
+        prefill = {
+            **ids,
+            "prompt_tokens": record.prompt_tokens,
+            "new_tokens": record.new_tokens,
+            "reused_tokens": record.reused_tokens,
+            "outcome": record.outcome.value,
+        }
+        span("prefill", "gpu", now, now + duration, lane="gpu", args=prefill)
 
     def _continue_prefill(
         self, job: ActiveJob, remaining_slices: int, slice_duration: float
@@ -772,29 +640,88 @@ class ServingEngine:
             )
         return session.shared_hash
 
-    def _kv_load_time(
-        self, status: LookupStatus, ready_at: float, n_tokens: int
-    ) -> float | None:
-        """Duration to bring a session's KV into HBM, from lookup status.
-
-        Returns None when the load could not complete under fault
-        injection (retry budget exhausted, or the SSD breaker is open);
-        the caller falls back to recomputing the history.
-        """
-        now = self._clock.now
-        n_bytes = self.model.kv_bytes(n_tokens)
-        if status is LookupStatus.HIT_HBM:
-            return 0.0
-        if status is LookupStatus.HIT_DRAM:
-            start = max(now, ready_at)
-            done = self._fault_tolerant_transfer(self.pcie_h2d, start, n_bytes)
-            return None if done is None else done - now
-        if status is LookupStatus.HIT_DISK:
-            if self.store is not None and not self.store.ssd_available(now):
-                return None
-            done = self._fault_tolerant_transfer(self.disk_path, now, n_bytes)
-            return None if done is None else done - now
-        raise ValueError(f"no load for lookup status {status}")
+    def _apply_turn(
+        self,
+        request: TurnRequest,
+        session: SessionState,
+        kept: TruncationOutcome,
+        now: float,
+    ) -> tuple[TurnPlan, float]:
+        """Run one turn's effects around its pure :func:`plan_turn`: the
+        truncation (a COW fork for a prefix session), the private then
+        shared lookup, the orphan-suffix drop, the loads (private first),
+        the shared reference, the stats counters.  Returns the plan as
+        run (its fallback if a load failed) and the KV load time."""
+        store = self.store
+        session_id = request.session_id
+        history_before = session.history_tokens
+        if history_before > kept.history_tokens:
+            session.record_truncation(history_before - kept.history_tokens)
+            if store is not None:
+                # Valid only if positions were decoupled at save (§3.4).
+                store.truncate(session_id, kept.history_tokens)
+        if kept.dropped_tokens and session.conversation.shared_prefix_tokens:
+            # Histories only append: the session has left its prefix.
+            session.shared_detached = True
+        shared_hash = self._shared_hash_of(session)
+        first_turn = request.turn_index == 0
+        private: LookupResult | None = None
+        shared: SharedLookup | None = None
+        if store is not None:
+            if not (first_turn or request.failover) and kept.history_tokens:
+                private = store.lookup(session_id, now)
+            # The prefix is read on turn 0 or behind a private lookup that
+            # found no corrupt item.
+            clean = (
+                private is not None and private.status is not LookupStatus.MISS_CORRUPT
+            )
+            if shared_hash is not None and (first_turn or clean):
+                shared = store.lookup_shared(shared_hash, now)
+        plan = plan_turn(
+            kept.history_tokens,
+            kept.prompt_tokens,
+            private,
+            shared,
+            prefixed=shared_hash is not None,
+            first_turn=first_turn,
+            failover=request.failover,
+        )
+        if self.sanitized:
+            window = self.model.context_window
+            ratio = self.config.truncation_ratio
+            check_turn_plan(plan, history_before, kept, first_turn, window, ratio)
+        if plan.drop_private:
+            assert store is not None
+            store.drop(session_id)
+        # Every part loads, even after another failed or with no tokens:
+        # each transfer draws from the fault hook and can wait on its link.
+        load_time = 0.0
+        failed = False
+        for lookup, n_tokens in plan.loads:
+            if lookup.status is LookupStatus.HIT_HBM:
+                continue
+            n_bytes = self.model.kv_bytes(n_tokens)
+            if lookup.status is LookupStatus.HIT_DRAM:
+                start = max(now, lookup.ready_at)
+                done = self._fault_tolerant_transfer(self.pcie_h2d, start, n_bytes)
+            elif store is None or store.ssd_available(now):
+                done = self._fault_tolerant_transfer(self.disk_path, now, n_bytes)
+            else:
+                done = None  # the SSD breaker is open
+            if done is None:
+                failed = True
+            else:
+                # The parts load in parallel; the channels serialise them.
+                load_time = max(load_time, done - now)
+        if failed:
+            plan = plan.fallback()
+            load_time = 0.0
+        elif plan.shared:
+            assert store is not None and shared_hash is not None
+            store.acquire_shared(shared_hash, session_id)
+        if plan.outcome is TurnOutcome.FALLBACK_RECOMPUTE and store is not None:
+            store.stats.fallback_recomputes += 1
+        return plan, load_time
 
     def _fault_tolerant_transfer(
         self, link: Channel | ChannelPair, start: float, n_bytes: int
@@ -1053,6 +980,7 @@ class ServingEngine:
         # already lives in the store.
         delta_tokens = record.new_tokens + record.generated_tokens
         n_bytes, save_time = self._save_cost(delta_tokens)
+        moved = self.pcie_d2h.bytes_moved
         done = self._fault_tolerant_transfer(self.pcie_d2h, now, n_bytes)
         if done is None:
             # The write-back failed: the stored copy is incomplete, so the
@@ -1061,15 +989,21 @@ class ServingEngine:
             self.store.drop(job.session_id)
             self.store.stats.failed_saves += 1
             return 0.0
-        if self.config.enable_async_save:
-            overlap_window = max(0.0, now - job.decode_wall_start)
-            return async_save_blocking_time(
-                save_time,
-                overlap_window,
-                self.model.n_layers,
-                self.config.write_buffer_layers,
+        if self.sanitized:
+            check_saved_bytes(
+                record, self.pcie_d2h.bytes_moved - moved, self.model.kv_bytes
             )
-        return sync_save_blocking_time(save_time)
+        if not self.config.enable_async_save:
+            return sync_save_blocking_time(save_time)
+        blocking = async_save_blocking_time(
+            save_time,
+            max(0.0, now - job.decode_wall_start),
+            self.model.n_layers,
+            self.config.write_buffer_layers,
+        )
+        if self.sanitized:
+            check_save_blocking_envelope(blocking, save_time)
+        return blocking
 
     def _save_cost_uncached(self, delta_tokens: int) -> tuple[int, float]:
         """(bytes, unloaded PCIe seconds) for one turn's KV write-back.

@@ -44,19 +44,19 @@ class TurnOutcome(str, Enum):
     # back to full-recompute prefill (graceful degradation toward RE).
     FALLBACK_RECOMPUTE = "fallback-recompute"
 
-    @classmethod
-    def from_lookup(cls, status: LookupStatus) -> "TurnOutcome":
-        return {
-            LookupStatus.HIT_HBM: cls.HIT_HBM,
-            LookupStatus.HIT_DRAM: cls.HIT_DRAM,
-            LookupStatus.HIT_DISK: cls.HIT_DISK,
-            LookupStatus.MISS: cls.MISS,
-            LookupStatus.MISS_CORRUPT: cls.FALLBACK_RECOMPUTE,
-        }[status]
-
     @property
     def is_hit(self) -> bool:
         return self in (self.HIT_HBM, self.HIT_DRAM, self.HIT_DISK, self.HIT_SHARED)
+
+
+#: The outcome of a turn whose private store lookup returned each status.
+OUTCOME_OF_LOOKUP = {
+    LookupStatus.HIT_HBM: TurnOutcome.HIT_HBM,
+    LookupStatus.HIT_DRAM: TurnOutcome.HIT_DRAM,
+    LookupStatus.HIT_DISK: TurnOutcome.HIT_DISK,
+    LookupStatus.MISS: TurnOutcome.MISS,
+    LookupStatus.MISS_CORRUPT: TurnOutcome.FALLBACK_RECOMPUTE,
+}
 
 
 @dataclass(slots=True)
@@ -258,30 +258,9 @@ class MetricsCollector:
             self._ttft_hist.add(record.ttft)
 
     def record_turns(self, records: "list[TurnRecord]") -> None:
-        """Record a decode chunk's completed turns in one call.
-
-        Equivalent to calling :meth:`record_turn` per record in order —
-        min/max folds are order-insensitive and exact mode appends in the
-        same order, so results are bit-identical — but the engine's
-        completion loop pays the attribute lookups once per chunk instead
-        of once per turn.
-        """
-        if self.streaming:
-            for record in records:
-                self.record_turn(record)
-            return
-        warmup = self.warmup_turns
-        first = self._first_arrival
-        last = self._last_completion
+        """Record a decode chunk's completed turns, in order."""
         for record in records:
-            record.in_eval_window = record.global_turn >= warmup
-            if first is None or record.arrival_time < first:
-                first = record.arrival_time
-            if record.completion_time > last:
-                last = record.completion_time
-        self._first_arrival = first
-        self._last_completion = last
-        self.records.extend(records)
+            self.record_turn(record)
 
     def record_gpu_busy(self, seconds: float) -> None:
         if seconds < 0:

@@ -17,12 +17,6 @@ recurrence reproduces the partial-overlap gaps of Figure 7 exactly.
 
 from __future__ import annotations
 
-from ..sanitize import (
-    check_overlap_envelope,
-    check_save_blocking_envelope,
-    runtime_checks_active,
-)
-
 
 def no_preload_prefill_time(compute_time: float, load_time: float) -> float:
     """Prefill duration when the KV cache is loaded up front (NO-PL):
@@ -80,10 +74,6 @@ def layerwise_prefill_time(
     if b > 0:
         # With a buffer, the path may also enter at layer 0 (ready at 0).
         finish = max(finish, n_layers * c)
-    if runtime_checks_active():
-        # §3.2.1 envelope: overlap never beats pure compute, never loses
-        # to fully serialising the transfer.
-        check_overlap_envelope(finish, compute_time, load_time)
     return finish
 
 
@@ -178,10 +168,6 @@ def async_save_blocking_time(
     _check_nonneg(save_time, overlap_window)
     buffered = min(write_buffer_layers, n_layers) / n_layers * save_time
     blocking = max(0.0, save_time - overlap_window - buffered)
-    if runtime_checks_active():
-        # §3.2.2 envelope: the write buffer can only hide time, so the
-        # residual blocking stays within [0, save_time].
-        check_save_blocking_envelope(blocking, save_time)
     return blocking
 
 

@@ -14,11 +14,20 @@ Three strategies differ in what happens to any *stored* KV cache:
 * ``KV_EMBEDDED`` (OF): KV was stored *with* positions embedded; any
   truncation scrambles them, so the stored cache must be invalidated and
   the truncated prompt recomputed.
+
+Each turn is planned from values only: :func:`apply_context_window` keeps
+what fits, then :func:`plan_turn` decides how much of it is reused, from
+which tier, and what is recomputed.  The engine runs the effects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+from ..store.attention_store import LookupResult, LookupStatus
+from ..store.sharing import SharedLookup
+from .metrics import OUTCOME_OF_LOOKUP, TurnOutcome
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +83,78 @@ def apply_context_window(
     return TruncationOutcome(
         history_tokens=history, q_tokens=q, dropped_tokens=dropped
     )
+
+
+class TurnPlan(NamedTuple):
+    """One turn's KV reuse, decided by :func:`plan_turn`.  ``loads`` holds
+    ``(lookup, n_tokens)`` pairs, private item first, each read from the
+    tier its lookup reported; ``cold`` is the outcome had nothing been
+    reusable."""
+
+    outcome: TurnOutcome
+    reused: int
+    shared: int
+    new: int
+    loads: tuple[tuple[LookupResult | SharedLookup, int], ...]
+    drop_private: bool
+    cold: TurnOutcome
+
+    def fallback(self) -> TurnPlan:
+        """The recompute plan after a load failed: a private hit degrades
+        to ``FALLBACK_RECOMPUTE``, a shared-prefix-only hit to ``cold``."""
+        outcome = (
+            self.cold
+            if self.outcome is TurnOutcome.HIT_SHARED
+            else TurnOutcome.FALLBACK_RECOMPUTE
+        )
+        prompt = self.reused + self.new
+        return TurnPlan(outcome, 0, 0, prompt, (), self.drop_private, self.cold)
+
+
+def plan_turn(
+    history: int,
+    prompt: int,
+    private: LookupResult | None,
+    shared: SharedLookup | None,
+    *,
+    prefixed: bool,
+    first_turn: bool,
+    failover: bool,
+) -> TurnPlan:
+    """Decide one turn's KV reuse from values alone (Sections 3.2-3.4).
+
+    ``history`` and ``prompt`` are what :func:`apply_context_window` kept;
+    ``private`` and ``shared`` are the lookups of the session's item and
+    of its prefix block (None when not made, or a ``shared`` miss), and
+    ``prefixed`` says the session reads a shared prefix.  One rule covers
+    every reuse: of the ``available`` tokens (the prompt on turn 0, the
+    kept history after), ``reused = min(private + shared, available)``,
+    of which the prefix supplies ``min(shared, reused)``.  A private
+    suffix whose prefix block is gone is unreadable (KV reads
+    prefix-first), so it is dropped.
+    """
+    available = prompt if first_turn else history
+    cold = TurnOutcome.FIRST_TURN if first_turn else TurnOutcome.MISS
+    corrupt = private is not None and private.status is LookupStatus.MISS_CORRUPT
+    if corrupt or (failover and not first_turn):
+        # The KV died with a crashed replica, or failed its checksum and
+        # was dropped: the history recomputes in full.
+        cold = TurnOutcome.FALLBACK_RECOMPUTE
+    own = private if private is not None and private.hit else None
+    drop = own is not None and prefixed and shared is None
+    if drop:
+        own = None
+    extra = shared.n_tokens if shared is not None else 0
+    reused = min((own.n_tokens if own is not None else 0) + extra, available)
+    shared_hit = min(extra, reused)
+    loads: tuple[tuple[LookupResult | SharedLookup, int], ...] = ()
+    outcome = TurnOutcome.HIT_SHARED if shared_hit else cold
+    if own is not None:
+        outcome = OUTCOME_OF_LOOKUP[own.status]
+        loads = ((own, reused - shared_hit),)
+    if shared is not None and shared_hit:
+        loads += ((shared, shared_hit),)
+    return TurnPlan(outcome, reused, shared_hit, prompt - reused, loads, drop, cold)
 
 
 def clamp_decode_tokens(

@@ -22,8 +22,12 @@ simulated event:
   replica (the §3.3 exactly-one-copy contract), re-checked immediately
   after every migration;
 * the §3.2 overlap timing models stay inside their analytic envelope
-  (``compute <= overlapped duration <= compute + load``), checked in
-  :mod:`repro.engine.overlap`.
+  (``compute <= overlapped duration <= compute + load``);
+* every turn's accounting identities: prompt = reused + new, shared <=
+  reused <= available, the history drop is whole §3.4 cuts (or all of
+  it), and a save moves exactly the KV bytes of the new and generated
+  tokens; at the end of a crash-free run, GPU-busy time equals the sum
+  of the turns' GPU time.
 
 Activation: pass ``sanitize=True`` (or ``--sanitize`` on the CLI) to
 ``ServingEngine``/``ClusterEngine``, or set ``REPRO_SANITIZE=1`` in the
@@ -46,6 +50,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 if TYPE_CHECKING:
     from .cluster.engine import ClusterEngine
     from .engine.engine import ServingEngine
+    from .engine.metrics import MetricsCollector, TurnRecord
+    from .engine.truncation import TruncationOutcome, TurnPlan
     from .sim.loop import Simulator
     from .store.attention_store import AttentionStore
     from .store.policy import QueueView
@@ -64,49 +70,9 @@ class SimSanError(AssertionError):
     """A SimSan invariant violation (the run state is corrupt)."""
 
 
-# sanitize_enabled() sits on the engine's per-turn timing path (the
-# overlap models self-check when active), so the parsed value is cached
-# against the raw environment value.  The guard compares by *identity*:
-# a monkeypatched/rewritten value is a fresh object and forces a
-# re-parse, while the steady-state call sees the same object and skips
-# the decode/strip/lower/set-lookup work.
-#
-# On CPython the raw value is read straight out of ``os.environ._data``
-# (the underlying dict): ``os.environ.get`` funnels through a
-# ``__getitem__`` that *raises and catches* KeyError for the common
-# unset case, which cProfile shows as thousands of avoidable exception
-# round-trips per replay.  ``dict.get`` on the backing store never
-# raises, and the stored (encoded) value object is stable between
-# mutations, so identity caching works for set *and* unset states.
-# Non-CPython mappings without ``_data`` fall back to ``environ.get``.
-_environ_data = getattr(os.environ, "_data", None)
-_environ_decode = getattr(os.environ, "decodevalue", None)
-if _environ_data is None or _environ_decode is None:
-    _environ_data = None
-    _SANITIZE_KEY: object = SANITIZE_ENV
-else:
-    _SANITIZE_KEY = os.environ.encodekey(SANITIZE_ENV)
-_env_raw_cache: object = object()  # sentinel: never matches a real read
-_env_enabled_cache = False
-
-
 def sanitize_enabled() -> bool:
     """Whether ``REPRO_SANITIZE`` asks for sanitized runs."""
-    global _env_raw_cache, _env_enabled_cache
-    data = _environ_data
-    if data is not None:
-        raw: object = data.get(_SANITIZE_KEY)
-        if raw is _env_raw_cache:
-            return _env_enabled_cache
-        value = None if raw is None else _environ_decode(raw)
-    else:
-        raw = os.environ.get(SANITIZE_ENV)
-        if raw is _env_raw_cache:
-            return _env_enabled_cache
-        value = raw
-    _env_raw_cache = raw
-    _env_enabled_cache = value is not None and value.strip().lower() in _TRUTHY
-    return _env_enabled_cache
+    return os.environ.get(SANITIZE_ENV, "").strip().lower() in _TRUTHY
 
 
 def _mutation_stride() -> int:
@@ -117,17 +83,6 @@ def _mutation_stride() -> int:
     if stride <= 0:
         raise ValueError(f"{STRIDE_ENV} must be a positive integer, got {raw!r}")
     return stride
-
-
-# Set while any sanitizer is installed in this process; lets leaf timing
-# models (repro.engine.overlap) self-check without threading a flag through
-# every call site.
-_active_sanitizers = 0
-
-
-def runtime_checks_active() -> bool:
-    """True when a SimSan instance is installed or the env flag is set."""
-    return _active_sanitizers > 0 or sanitize_enabled()
 
 
 class SimSanitizer:
@@ -182,7 +137,6 @@ class SimSanitizer:
         """Instrument the simulator: schedule guards + per-event hook."""
         if self._installed:
             return
-        global _active_sanitizers
         sim = self.sim
         orig_at = sim.at
         orig_after = sim.after
@@ -205,16 +159,6 @@ class SimSanitizer:
         sim.after = checked_after  # type: ignore[method-assign]
         sim.event_hook = self._on_event
         self._installed = True
-        _active_sanitizers += 1
-
-    def uninstall(self) -> None:
-        """Remove the per-event hook (used by tests; wrappers stay)."""
-        if not self._installed:
-            return
-        global _active_sanitizers
-        self.sim.event_hook = None
-        self._installed = False
-        _active_sanitizers -= 1
 
     def _on_event(self, time: float) -> None:
         if time < self._last_event_time:
@@ -487,7 +431,61 @@ def install_cluster(cluster: ClusterEngine) -> SimSanitizer:
 
 
 # ---------------------------------------------------------------------------
-# Overlap-model envelope (§3.2), used by repro.engine.overlap
+# Per-turn accounting identities, checked by the engine
+# ---------------------------------------------------------------------------
+
+
+def check_turn_plan(
+    plan: TurnPlan,
+    history_before: int,
+    kept: TruncationOutcome,
+    first_turn: bool,
+    window: int,
+    ratio: float,
+) -> None:
+    """Assert a turn's plan adds up against what the window kept."""
+    cut = max(1, int(window * ratio))
+    prompt, history = kept.prompt_tokens, kept.history_tokens
+    available = prompt if first_turn else history
+    if (
+        plan.reused + plan.new != prompt
+        or not 0 <= plan.shared <= plan.reused <= available
+        or (history and (history_before - history) % cut)
+        or prompt > window
+    ):
+        raise SimSanError(
+            f"turn plan {plan} does not add up: prompt {prompt} of window "
+            f"{window}, {available} available, history {history_before} -> "
+            f"{history} in cuts of {cut}"
+        )
+
+
+def check_saved_bytes(
+    record: TurnRecord, moved: int, kv_bytes: Callable[[int], int]
+) -> None:
+    """Assert a save moved the KV of the turn's new and generated tokens."""
+    expected = kv_bytes(record.new_tokens + record.generated_tokens)
+    if moved != expected:
+        raise SimSanError(
+            f"session {record.session_id} turn {record.turn_index} saved "
+            f"{moved} bytes, expected {expected}"
+        )
+
+
+def check_gpu_busy(metrics: MetricsCollector) -> None:
+    """Assert a crash-free run's GPU-busy seconds are its turns' GPU time
+    (the same seconds summed in another order; streamed metrics keep no
+    records to sum)."""
+    if metrics.streaming:
+        return
+    busy = metrics._gpu_busy_total
+    parts = sum(record.gpu_time for record in metrics.records)
+    if abs(busy - parts) > 1e-12 * max(busy, parts):
+        raise SimSanError(f"GPU busy {busy!r} s != turns' GPU time {parts!r} s")
+
+
+# ---------------------------------------------------------------------------
+# Overlap-model envelope (§3.2), checked by the engine
 # ---------------------------------------------------------------------------
 
 #: Relative slack for float accumulation in the overlap envelope.

@@ -14,6 +14,7 @@ from repro.engine import (
     apply_context_window,
     clamp_decode_tokens,
 )
+from repro.engine.metrics import OUTCOME_OF_LOOKUP
 from repro.store.attention_store import LookupStatus
 from repro.workload.trace import Conversation, Turn
 
@@ -158,8 +159,9 @@ def make_record(gturn=0, outcome=TurnOutcome.HIT_DRAM, ttft=0.1, **kw):
 
 class TestMetrics:
     def test_outcome_from_lookup(self):
-        assert TurnOutcome.from_lookup(LookupStatus.HIT_DRAM) is TurnOutcome.HIT_DRAM
-        assert TurnOutcome.from_lookup(LookupStatus.MISS) is TurnOutcome.MISS
+        assert OUTCOME_OF_LOOKUP[LookupStatus.HIT_DRAM] is TurnOutcome.HIT_DRAM
+        assert OUTCOME_OF_LOOKUP[LookupStatus.MISS] is TurnOutcome.MISS
+        assert set(OUTCOME_OF_LOOKUP) == set(LookupStatus)
 
     def test_hit_flags(self):
         assert TurnOutcome.HIT_DISK.is_hit

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import _validate_args, build_parser, main
@@ -123,3 +125,70 @@ class TestFlagValidation:
             ["run", "--instances", "2", "--router", "rr", "--no-failover"]
         )
         _validate_args(args)
+
+    SERVING = ["run", "trace", "compare", "run-sweep"]
+    LOADS_TRACE = SERVING + ["capacity"]
+
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            (command, flags, named)
+            for flags, named, commands in [
+                (
+                    ["--trace", "{missing}"],
+                    "missing.json: no such file",
+                    ["compare", "capacity", "run-sweep"],
+                ),
+                (["--trace", "{garbled}"], "garbled.json: Expecting", LOADS_TRACE),
+                (
+                    ["--trace", "{fractional}"],
+                    "fractional.json: conversation 0: turn 0 q_tokens must be "
+                    "an int, got 10.5",
+                    LOADS_TRACE,
+                ),
+                (["--instances", "0"], "--instances 0", ["run", "trace"]),
+                (["--batch-size", "-3"], "--batch-size -3", SERVING),
+                (
+                    ["--param", "batch-size", "--values", "4,-3"],
+                    "--batch-size -3",
+                    ["run-sweep"],
+                ),
+                (["--dram-gb", "-1"], "--dram-gb -1.0", SERVING),
+                (["--sessions", "0"], "--sessions 0", LOADS_TRACE + ["workload"]),
+                (["--warmup-turns", "-4"], "--warmup-turns -4", SERVING),
+                (
+                    ["--fault-profile", "chaos-cluster"],
+                    "--fault-profile chaos-cluster",
+                    ["run", "trace", "run-sweep"],
+                ),
+            ]
+            for command in commands
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(
+        self, command, flags, named, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.json"
+        main(["workload", "--sessions", "2", "--out", str(trace)])
+        (tmp_path / "garbled.json").write_text("{not json")
+        payload = json.loads(trace.read_text())
+        payload["conversations"][0]["turns"][0][0] = 10.5
+        (tmp_path / "fractional.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        extra = {
+            "trace": ["-o", str(tmp_path / "chrome.json")],
+            "run-sweep": ["--param", "policy", "--values", "lru"],
+            "workload": ["--out", str(tmp_path / "out.json")],
+        }.get(command, [])
+        paths = {
+            name: tmp_path / f"{name}.json"
+            for name in ("missing", "garbled", "fractional")
+        }
+        argv = [command] + extra + [f.format(**paths) for f in flags]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: error: ")
+        assert named in err
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -164,14 +164,15 @@ class TestOverlapEnvelope:
         with pytest.raises(SimSanError):
             check_save_blocking_envelope(1.5, save_time=1.0)
 
-    def test_overlap_models_stay_inside_envelope(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    def test_overlap_models_stay_inside_envelope(self):
         for load in (0.0, 0.4, 1.0, 3.7):
             for buffers in (0, 5, 40):
-                layerwise_prefill_time(40, 1.0, load, buffers)
+                duration = layerwise_prefill_time(40, 1.0, load, buffers)
+                check_overlap_envelope(duration, 1.0, load)
         for window in (0.0, 0.5, 2.0):
             for buffers in (0, 15, 40):
-                async_save_blocking_time(1.0, window, 40, buffers)
+                blocking = async_save_blocking_time(1.0, window, 40, buffers)
+                check_save_blocking_envelope(blocking, 1.0)
 
 
 class TestEquivalenceAndActivation:
