@@ -146,6 +146,7 @@ class ClusterEngine:
         self.schedule = schedule
 
         self.sim = Simulator()
+        self.sanitized = sanitize if sanitize is not None else sanitize_enabled()
         self.turn_counter = count()
         # One shared inter-host link: concurrent migrations contend on it.
         self.net = Channel("cluster-net", self.cluster.net_bandwidth)
@@ -180,6 +181,7 @@ class ClusterEngine:
                     turn_counter=self.turn_counter,
                     streaming_metrics=streaming_metrics,
                     name=f"replica-{i}",
+                    sanitize=self.sanitized,
                 )
             )
         for engine in self.engines:
@@ -222,7 +224,6 @@ class ClusterEngine:
         # Optional span tracer (repro.obs): installed from outside via
         # SpanTracer.attach_cluster; pure observation of migrations.
         self.tracer: "SpanTracer | None" = None
-        self.sanitized = sanitize if sanitize is not None else sanitize_enabled()
         if self.sanitized:
             install_cluster(self)
 

@@ -322,10 +322,11 @@ class ServingEngine:
 
     def result(self) -> RunResult:
         """Aggregate results after the simulator has drained."""
-        if self.sanitized and self._epoch == 0:
-            check_gpu_busy(self.metrics)
+        summary = self.metrics.summarise()
+        if self.sanitized and self._epoch == 0 and not self.metrics.streaming:
+            check_gpu_busy(summary.total_gpu_busy_time, self.metrics.records)
         return RunResult(
-            summary=self.metrics.summarise(),
+            summary=summary,
             store_stats=self.store.stats if self.store else None,
             pcie_bytes=self.pcie_h2d.bytes_moved + self.pcie_d2h.bytes_moved,
             ssd_bytes=self.ssd.bytes_moved,
@@ -862,10 +863,8 @@ class ServingEngine:
         blocking from KV saving.
 
         The per-turn loop runs with every invariant attribute hoisted
-        (clock, session map, store, tracer) and metrics recording batched
-        into one :meth:`MetricsCollector.record_turns` call — same
-        records, same order, so the float accumulation is bit-identical
-        to the one-call-per-turn path this replaces.
+        (clock, session map, store, tracer); :meth:`MetricsCollector.record_turns`
+        then records the chunk's turns in order.
         """
         now = self._clock.now
         sessions = self.sessions
@@ -990,9 +989,9 @@ class ServingEngine:
             self.store.stats.failed_saves += 1
             return 0.0
         if self.sanitized:
-            check_saved_bytes(
-                record, self.pcie_d2h.bytes_moved - moved, self.model.kv_bytes
-            )
+            moved = self.pcie_d2h.bytes_moved - moved
+            stored = item.n_tokens + prefix_tokens
+            check_saved_bytes(record, moved, stored, self.model.kv_bytes)
         if not self.config.enable_async_save:
             return sync_save_blocking_time(save_time)
         blocking = async_save_blocking_time(

@@ -25,9 +25,9 @@ simulated event:
   (``compute <= overlapped duration <= compute + load``);
 * every turn's accounting identities: prompt = reused + new, shared <=
   reused <= available, the history drop is whole §3.4 cuts (or all of
-  it), and a save moves exactly the KV bytes of the new and generated
-  tokens; at the end of a crash-free run, GPU-busy time equals the sum
-  of the turns' GPU time.
+  it), and a save moves the KV the turn's session now holds in the store
+  less what the turn loaded from it; at the end of a crash-free run,
+  GPU-busy time equals the sum of the turns' GPU time up to rounding.
 
 Activation: pass ``sanitize=True`` (or ``--sanitize`` on the CLI) to
 ``ServingEngine``/``ClusterEngine``, or set ``REPRO_SANITIZE=1`` in the
@@ -44,13 +44,14 @@ when bisecting, or larger values for very large replays.
 from __future__ import annotations
 
 import os
+import sys
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     from .cluster.engine import ClusterEngine
     from .engine.engine import ServingEngine
-    from .engine.metrics import MetricsCollector, TurnRecord
+    from .engine.metrics import TurnRecord
     from .engine.truncation import TruncationOutcome, TurnPlan
     from .sim.loop import Simulator
     from .store.attention_store import AttentionStore
@@ -461,10 +462,12 @@ def check_turn_plan(
 
 
 def check_saved_bytes(
-    record: TurnRecord, moved: int, kv_bytes: Callable[[int], int]
+    record: TurnRecord, moved: int, stored: int, kv_bytes: Callable[[int], int]
 ) -> None:
-    """Assert a save moved the KV of the turn's new and generated tokens."""
-    expected = kv_bytes(record.new_tokens + record.generated_tokens)
+    """Assert a save moved only KV the store did not hold before the turn:
+    the ``stored`` tokens it holds for the session now (private item plus
+    shared prefix) less the tokens the turn loaded from it."""
+    expected = kv_bytes(stored - record.reused_tokens)
     if moved != expected:
         raise SimSanError(
             f"session {record.session_id} turn {record.turn_index} saved "
@@ -472,15 +475,14 @@ def check_saved_bytes(
         )
 
 
-def check_gpu_busy(metrics: MetricsCollector) -> None:
-    """Assert a crash-free run's GPU-busy seconds are its turns' GPU time
-    (the same seconds summed in another order; streamed metrics keep no
-    records to sum)."""
-    if metrics.streaming:
-        return
-    busy = metrics._gpu_busy_total
-    parts = sum(record.gpu_time for record in metrics.records)
-    if abs(busy - parts) > 1e-12 * max(busy, parts):
+def check_gpu_busy(busy: float, records: list[TurnRecord]) -> None:
+    """Assert a crash-free run's GPU-busy seconds are its turns' GPU time,
+    up to one epsilon per rounding step: a turn takes at most new + 1
+    prefill slices, three steps per generated token (busy chunk, share,
+    record sum) and three more to total its record."""
+    parts = sum(record.gpu_time for record in records)
+    steps = sum(r.new_tokens + 3 * r.generated_tokens + 4 for r in records)
+    if abs(busy - parts) > steps * sys.float_info.epsilon * max(busy, parts):
         raise SimSanError(f"GPU busy {busy!r} s != turns' GPU time {parts!r} s")
 
 

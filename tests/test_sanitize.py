@@ -175,6 +175,57 @@ class TestOverlapEnvelope:
                 check_save_blocking_envelope(blocking, 1.0)
 
 
+class TestTurnIdentities:
+    def test_sanitized_cluster_checks_every_replica_turn(self, monkeypatch):
+        import repro.engine.engine as engine_module
+
+        plan_turn = engine_module.plan_turn
+
+        def off_by_one(*args, **kwargs):
+            plan = plan_turn(*args, **kwargs)
+            return plan._replace(new=plan.new + 1)
+
+        monkeypatch.setattr(engine_module, "plan_turn", off_by_one)
+        config = ClusterConfig(n_instances=2, router=RouterName.AFFINITY)
+        cluster = ClusterEngine(MODEL, cluster=config, sanitize=True)
+        assert all(engine.sanitized for engine in cluster.engines)
+        with pytest.raises(SimSanError, match="does not add up"):
+            cluster.run(small_trace())
+
+    def test_cluster_choice_overrides_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        config = ClusterConfig(n_instances=2)
+        cluster = ClusterEngine(MODEL, cluster=config, sanitize=False)
+        assert not any(engine.sanitized for engine in cluster.engines)
+
+    def test_save_of_kv_the_store_already_holds_detected(self, monkeypatch):
+        # The store keeps one token more than crossed PCIe: bytes moved no
+        # longer match what the store gained.
+        save = AttentionStore.save
+
+        def save_extra(self, session_id, n_tokens, *args, **kwargs):
+            return save(self, session_id, n_tokens + 1, *args, **kwargs)
+
+        monkeypatch.setattr(AttentionStore, "save", save_extra)
+        with pytest.raises(SimSanError, match="saved .* bytes, expected"):
+            ServingEngine(MODEL, sanitize=True).run(small_trace())
+
+    def test_lost_gpu_busy_interval_detected(self, monkeypatch):
+        from repro.engine.metrics import MetricsCollector
+
+        record_gpu_busy = MetricsCollector.record_gpu_busy
+        calls = []
+
+        def lose_first(self, seconds):
+            calls.append(seconds)
+            if len(calls) > 1:
+                record_gpu_busy(self, seconds)
+
+        monkeypatch.setattr(MetricsCollector, "record_gpu_busy", lose_first)
+        with pytest.raises(SimSanError, match="GPU busy"):
+            ServingEngine(MODEL, sanitize=True).run(small_trace())
+
+
 class TestEquivalenceAndActivation:
     def test_sanitized_run_bit_identical(self):
         trace = small_trace()
