@@ -21,7 +21,7 @@ Examples::
     python -m repro.cli run --sessions 300 --instances 3 \
         --fault-profile chaos-cluster --sanitize
     python -m repro.cli run --sessions 50000 --streaming-metrics
-    python -m repro.cli run --sessions 300 --profile --metrics-out m.json
+    python -m repro.cli run --sessions 300 --metrics-out m.json
     python -m repro.cli trace --sessions 50 -o trace.json
     python -m repro.cli trace --sessions 200 --instances 2 \
         --router affinity -o cluster-trace.json
@@ -57,7 +57,6 @@ from .engine import RunResult, ServingEngine
 from .faults import FAULT_PROFILES, fault_profile
 from .models import MODEL_REGISTRY, GiB, ModelSpec, get_model
 from .obs import (
-    EventLoopProfiler,
     MetricsRegistry,
     SpanTracer,
     collect_cluster_metrics,
@@ -66,7 +65,6 @@ from .obs import (
     write_chrome_trace,
 )
 from .runner import SweepPoint, run_sweep
-from .sim.loop import Simulator
 from .workload import Trace, WorkloadSpec, generate_trace
 
 #: Prefix-template length behind ``--share-ratio`` (tokens).  One CLI
@@ -135,12 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_observability_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--profile",
-            action="store_true",
-            help="sample host-side event-loop cost (events/s, per-event-"
-            "type wall time); observation only, results are unchanged",
-        )
         p.add_argument(
             "--metrics-out",
             type=Path,
@@ -260,12 +252,23 @@ def _sharing_fields(args: argparse.Namespace) -> dict:
     """WorkloadSpec overrides for ``--share-ratio`` (empty at ratio 0,
     so share-free invocations build the exact pre-sharing spec)."""
     ratio = getattr(args, "share_ratio", 0.0)
-    if ratio <= 0:
+    if not ratio:
         return {}
     return {
         "shared_prefix_fraction": ratio,
         "shared_prefix_len": DEFAULT_SHARE_PREFIX_LEN,
     }
+
+
+def _workload_spec(args: argparse.Namespace) -> WorkloadSpec:
+    """The spec of a synthesised trace; a value the spec rejects exits 2."""
+    fields = {"n_sessions": args.sessions, "seed": args.seed, **_sharing_fields(args)}
+    if "arrival_rate" in args:
+        fields["arrival_rate"] = args.arrival_rate
+    try:
+        return WorkloadSpec(**fields)
+    except ValueError as exc:
+        _fail_on(args, exc)
 
 
 def _load_trace(args: argparse.Namespace) -> Trace:
@@ -274,11 +277,7 @@ def _load_trace(args: argparse.Namespace) -> Trace:
             return Trace.load(args.trace)
         except (ValueError, KeyError, TypeError) as exc:
             _fail(args, f"{args.trace}: {exc}")
-    return generate_trace(
-        WorkloadSpec(
-            n_sessions=args.sessions, seed=args.seed, **_sharing_fields(args)
-        )
-    )
+    return generate_trace(_workload_spec(args))
 
 
 def _replica_kwargs(
@@ -340,6 +339,27 @@ def _fail(args: argparse.Namespace, problem: str) -> NoReturn:
     raise SystemExit(2)
 
 
+#: Flags whose range check lives where their value is used, keyed by the
+#: parameter name that check's message starts with.
+_PARAM_FLAGS = {
+    "n_sessions": "--sessions",
+    "arrival_rate": "--arrival-rate",
+    "shared_prefix_fraction": "--share-ratio",
+    "ttl_seconds": "--ttl",
+}
+
+
+def _fail_on(args: argparse.Namespace, exc: ValueError) -> NoReturn:
+    """Exit 2 with a range error raised by a spec or analysis, naming the
+    flag when the message names the flag's parameter."""
+    problem = str(exc)
+    flag = _PARAM_FLAGS.get(problem.split(" ", 1)[0])
+    if flag is not None:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        problem = f"{flag} {value}: {problem}"
+    _fail(args, problem)
+
+
 #: Numeric flags and the least value each accepts.
 _FLAG_FLOORS = (
     ("sessions", 1),
@@ -373,8 +393,10 @@ def _validate_args(args: argparse.Namespace) -> None:
             f"{schedule.max_replica}; it needs --instances "
             f"{schedule.max_replica + 1} or more, got {instances}",
         )
-    if trace is not None and getattr(args, "share_ratio", 0.0) > 0:
+    if trace is not None and getattr(args, "share_ratio", 0.0):
         _fail(args, "--share-ratio only shapes synthesised traces, not --trace")
+    if trace is None:
+        _workload_spec(args)
     if getattr(args, "instances", 2) == 1:
         if args.no_failover:
             _fail(args, "--no-failover needs --instances > 1")
@@ -426,31 +448,13 @@ def _summary_rows(result: RunResult) -> list[list[str]]:
 
 def cmd_workload(args: argparse.Namespace) -> int:
     _validate_args(args)
-    trace = generate_trace(
-        WorkloadSpec(
-            n_sessions=args.sessions,
-            arrival_rate=args.arrival_rate,
-            seed=args.seed,
-            **_sharing_fields(args),
-        )
-    )
+    trace = generate_trace(_workload_spec(args))
     trace.save(args.out)
     print(
         f"wrote {len(trace)} sessions / {trace.n_turns_total} turns / "
         f"{trace.n_tokens_total:,} tokens to {args.out}"
     )
     return 0
-
-
-def _install_profiler(
-    args: argparse.Namespace, sim: Simulator
-) -> EventLoopProfiler | None:
-    """Arm --profile on a built (not yet run) simulator."""
-    if not getattr(args, "profile", False):
-        return None
-    profiler = EventLoopProfiler()
-    profiler.install(sim)
-    return profiler
 
 
 def _write_metrics(path: Path, registry: MetricsRegistry) -> None:
@@ -466,7 +470,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace = _load_trace(args)
     if args.instances > 1:
         cluster = _build_cluster(args, mode)
-        profiler = _install_profiler(args, cluster.sim)
         cluster_result = cluster.run(trace)
         print(
             format_table(
@@ -480,11 +483,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         if args.metrics_out is not None:
             _write_metrics(args.metrics_out, collect_cluster_metrics(cluster))
-        if profiler is not None:
-            print(f"\n{profiler.report().format()}")
         return 0
     engine = _build_engine(args, mode)
-    profiler = _install_profiler(args, engine.sim)
     result = engine.run(trace)
     print(
         format_table(
@@ -508,8 +508,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     if args.metrics_out is not None:
         _write_metrics(args.metrics_out, collect_engine_metrics(engine))
-    if profiler is not None:
-        print(f"\n{profiler.report().format()}")
     return 0
 
 
@@ -522,13 +520,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.instances > 1:
         cluster = _build_cluster(args, mode)
         tracer.attach_cluster(cluster)
-        profiler = _install_profiler(args, cluster.sim)
         cluster.run(trace)
         registry = collect_cluster_metrics(cluster)
     else:
         engine = _build_engine(args, mode)
         tracer.attach_engine(engine)
-        profiler = _install_profiler(args, engine.sim)
         engine.run(trace)
         registry = collect_engine_metrics(engine)
     n_events = write_chrome_trace(args.out, tracer)
@@ -541,8 +537,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.metrics_out is not None:
         ingest_tracer_spans(tracer, registry)
         _write_metrics(args.metrics_out, registry)
-    if profiler is not None:
-        print(f"\n{profiler.report().format()}")
     return 0
 
 
@@ -574,9 +568,12 @@ def _sweep_worker(point: SweepPoint, seed: int) -> RunResult:
 
 def cmd_run_sweep(args: argparse.Namespace) -> int:
     attr, parse = SWEEP_PARAMS[args.param]
-    values = [parse(v.strip()) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [parse(v.strip()) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        _fail(args, f"--values {args.values}: {exc}")
     if not values:
-        raise SystemExit("--values must name at least one value")
+        _fail(args, "--values must name at least one value")
     base = {
         k: v for k, v in vars(args).items()
         if k not in ("param", "values", "jobs", "base_seed", "command")
@@ -664,7 +661,10 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     _validate_args(args)
     trace = _load_trace(args)
     model = get_model(args.model)
-    plan = capacity_plan(model, trace, ttl_seconds=args.ttl)
+    try:
+        plan = capacity_plan(model, trace, ttl_seconds=args.ttl)
+    except ValueError as exc:
+        _fail_on(args, exc)
     rows = [
         ["CCpS (GiB/session)", f"{plan.ccps_bytes / GiB:.2f}"],
         ["DSpUT (sessions/TTL)", f"{plan.dsput:.0f}"],

@@ -216,12 +216,6 @@ class EngineConfig:
     enable_async_save: bool = True
     write_buffer_layers: int = 15
     decode_chunk_iters: int = 32
-    # Sarathi-style chunked prefill (the paper's [1]): split each prefill
-    # into slices of roughly this many tokens and interleave decode
-    # iterations between slices, so long prefills stop starving the
-    # decoding batch.  None = prefill runs to completion (the paper's and
-    # the default behaviour).
-    chunked_prefill_tokens: int | None = None
     # Serving-path prefill efficiency relative to the Section 2.4
     # microbenchmark MFU.  The paper's end-to-end TTFT figures imply its
     # Transformers-based executor prefills at roughly a quarter of its own
@@ -232,11 +226,6 @@ class EngineConfig:
         if self.decode_chunk_iters <= 0:
             raise ValueError(
                 f"decode_chunk_iters must be positive, got {self.decode_chunk_iters}"
-            )
-        if self.chunked_prefill_tokens is not None and self.chunked_prefill_tokens <= 0:
-            raise ValueError(
-                "chunked_prefill_tokens must be positive or None, got "
-                f"{self.chunked_prefill_tokens}"
             )
         if not (0.0 < self.prefill_efficiency_factor <= 1.0):
             raise ValueError(

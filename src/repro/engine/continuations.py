@@ -2,10 +2,10 @@
 
 The original turn path scheduled a fresh closure per event — an
 epoch-guard wrapper (``_after_epoch``'s ``fire``) around a capture
-lambda for every decode chunk, prefill slice, save block and think-time
+lambda for every decode chunk, prefill, save block and think-time
 timer.  At replay scale that is two allocations and two call frames per
-event, and the profiler collapsed 98 % of loop time into two anonymous
-closure names (see DESIGN.md §13).
+event, and a per-callback host-time breakdown collapsed 98 % of loop time
+into two anonymous closure names (see DESIGN.md §13).
 
 This module replaces the pattern with small ``__slots__`` callables:
 
@@ -16,8 +16,8 @@ This module replaces the pattern with small ``__slots__`` callables:
   with the check inlined into ``__call__`` instead of a wrapper frame.
   The event still *fires* (a crash cannot unschedule it), so event
   counts stay bit-identical to the closure implementation.
-* **Single-flight reuse**: the GPU serialises prefill slices, decode
-  chunks and save blocks, so at most one instance of each continuation
+* **Single-flight reuse**: the GPU serialises prefills, decode chunks
+  and save blocks, so at most one instance of each continuation
   is pending at a time.  The engine preallocates one of each and
   mutates its fields at schedule time — zero per-event allocation.  A
   crash drops the preallocated set (:meth:`ServingEngine.crash` calls
@@ -30,9 +30,9 @@ This module replaces the pattern with small ``__slots__`` callables:
   deliberately survive crashes — clients keep typing into an outage).
 * **Named one-shots** (:class:`SessionStart`, :class:`FetchDone`,
   :class:`TierLoss`, :class:`StreamArrival`): allocated where several
-  can be in flight at once, still slotted and class-named so the
-  event-loop profiler attributes cost to the operation instead of to
-  ``<locals>.<lambda>``.
+  can be in flight at once, still slotted and class-named so host-time
+  tooling (``perfbench/run.py --trace 1``) attributes cost to the
+  operation instead of to ``<locals>.<lambda>``.
 """
 
 from __future__ import annotations
@@ -113,52 +113,31 @@ class NextTurnTimer:
 
 
 class PrefillSliceDone:
-    """End of one (possibly chunked) prefill slice; epoch-guarded."""
+    """End of one turn's prefill, which runs whole; epoch-guarded.
 
-    __slots__ = ("engine", "epoch", "job", "remaining_slices", "slice_duration")
+    Host-time tooling reports the event by this class name
+    (``engine.PrefillSliceDone``), so the name stays.
+    """
+
+    __slots__ = ("engine", "epoch", "job")
 
     def __init__(self, engine: "ServingEngine") -> None:
         self.engine = engine
         self.epoch = engine._epoch
         self.job: "ActiveJob | None" = _UNSET
-        self.remaining_slices = 0
-        self.slice_duration = 0.0
 
     def __call__(self) -> None:
         engine = self.engine
         if engine._epoch == self.epoch:
             job = self.job
             assert job is not None
-            engine._on_prefill_slice_done(
-                job, self.remaining_slices, self.slice_duration
-            )
-
-
-class ResumePrefill:
-    """Continuation of a paused chunked prefill after a piggybacked
-    decode chunk.  Invoked synchronously by the (already epoch-guarded)
-    decode-done/save-done handlers, so it carries no epoch itself."""
-
-    __slots__ = ("engine", "job", "remaining_slices", "slice_duration")
-
-    def __init__(self, engine: "ServingEngine") -> None:
-        self.engine = engine
-        self.job: "ActiveJob | None" = _UNSET
-        self.remaining_slices = 0
-        self.slice_duration = 0.0
-
-    def __call__(self) -> None:
-        job = self.job
-        assert job is not None
-        self.engine._continue_prefill(
-            job, self.remaining_slices, self.slice_duration
-        )
+            engine._on_prefill_done(job)
 
 
 class DecodeChunkDone:
     """End of one decode chunk; epoch-guarded."""
 
-    __slots__ = ("engine", "epoch", "n_iters", "duration", "batch_len", "resume")
+    __slots__ = ("engine", "epoch", "n_iters", "duration", "batch_len")
 
     def __init__(self, engine: "ServingEngine") -> None:
         self.engine = engine
@@ -166,30 +145,26 @@ class DecodeChunkDone:
         self.n_iters = 0
         self.duration = 0.0
         self.batch_len = 0
-        self.resume: ResumePrefill | None = _UNSET
 
     def __call__(self) -> None:
         engine = self.engine
         if engine._epoch == self.epoch:
-            engine._on_decode_chunk_done(
-                self.n_iters, self.duration, self.batch_len, self.resume
-            )
+            engine._on_decode_chunk_done(self.n_iters, self.duration, self.batch_len)
 
 
 class SaveBlockDone:
     """End of the residual KV write-back blocking window; epoch-guarded."""
 
-    __slots__ = ("engine", "epoch", "resume")
+    __slots__ = ("engine", "epoch")
 
     def __init__(self, engine: "ServingEngine") -> None:
         self.engine = engine
         self.epoch = engine._epoch
-        self.resume: ResumePrefill | None = _UNSET
 
     def __call__(self) -> None:
         engine = self.engine
         if engine._epoch == self.epoch:
-            engine._on_save_block_done(self.resume)
+            engine._on_save_block_done()
 
 
 class TtlSweep:
@@ -212,7 +187,7 @@ class FetchDone:
     """Completion of one scheduler-aware prefetch transfer.
 
     Allocated per prefetch (several can be in flight concurrently), but
-    slotted and class-named for the profiler.
+    slotted and class-named like the single-flight continuations.
     """
 
     __slots__ = ("store", "session_id")

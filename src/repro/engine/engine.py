@@ -59,7 +59,6 @@ from .continuations import (
     FetchDone,
     NextTurnTimer,
     PrefillSliceDone,
-    ResumePrefill,
     SaveBlockDone,
     SessionStart,
     StreamArrival,
@@ -246,7 +245,6 @@ class ServingEngine:
         when it fires (see :mod:`repro.engine.continuations`).
         """
         self._prefill_slice_done = PrefillSliceDone(self)
-        self._resume_prefill = ResumePrefill(self)
         self._decode_chunk_done = DecodeChunkDone(self)
         self._save_block_done = SaveBlockDone(self)
         self._ttl_sweep_cont = TtlSweep(self)
@@ -511,11 +509,6 @@ class ServingEngine:
         generate = clamp_decode_tokens(
             prompt, request.a_tokens, self.model.context_window
         )
-        chunk = self.config.chunked_prefill_tokens
-        if chunk is None or new_tokens <= chunk:
-            n_slices = 1
-        else:
-            n_slices = -(-new_tokens // chunk)  # ceil
         record = TurnRecord(
             session_id=request.session_id,
             turn_index=request.turn_index,
@@ -543,7 +536,17 @@ class ServingEngine:
         self._prefilling_job = job
         if self.tracer is not None:
             self._trace_prefill(request, record, now, compute_time, load_time)
-        self._continue_prefill(job, n_slices, duration / n_slices)
+        self._gpu_occupy(duration)
+        if len(self.batch) > 0:
+            # Decoding jobs are stalled for the prefill (Section 4.2's
+            # blocking effect).
+            self.metrics.record_decode_stall(duration)
+        # Single-flight: the GPU serialises prefills, so the one
+        # preallocated continuation is free whenever a prefill starts.
+        cont = self._prefill_slice_done
+        cont.epoch = self._epoch
+        cont.job = job
+        self.sim.after(duration, cont)
 
     def _trace_prefill(
         self,
@@ -583,41 +586,6 @@ class ServingEngine:
             "outcome": record.outcome.value,
         }
         span("prefill", "gpu", now, now + duration, lane="gpu", args=prefill)
-
-    def _continue_prefill(
-        self, job: ActiveJob, remaining_slices: int, slice_duration: float
-    ) -> None:
-        """Run one prefill slice (the whole prefill when not chunked)."""
-        self._gpu_occupy(slice_duration)
-        if len(self.batch) > 0:
-            # Decoding jobs are stalled for this slice (Section 4.2's
-            # blocking effect; chunked prefill bounds it).
-            self.metrics.record_decode_stall(slice_duration)
-        # Single-flight: the GPU serialises prefill slices, so the one
-        # preallocated continuation is free whenever a slice starts.
-        cont = self._prefill_slice_done
-        cont.epoch = self._epoch
-        cont.job = job
-        cont.remaining_slices = remaining_slices - 1
-        cont.slice_duration = slice_duration
-        self.sim.after(slice_duration, cont)
-
-    def _on_prefill_slice_done(
-        self, job: ActiveJob, remaining_slices: int, slice_duration: float
-    ) -> None:
-        self._gpu_release()
-        if remaining_slices == 0:
-            self._on_prefill_done(job)
-            return
-        if self.batch:
-            # Piggyback one decode chunk between prefill slices.
-            resume = self._resume_prefill
-            resume.job = job
-            resume.remaining_slices = remaining_slices
-            resume.slice_duration = slice_duration
-            self._start_decode_chunk(resume=resume)
-        else:
-            self._continue_prefill(job, remaining_slices, slice_duration)
 
     def _shared_hash_of(self, session: SessionState) -> str | None:
         """The session's shared-prefix content hash, or None when sharing
@@ -770,7 +738,7 @@ class ServingEngine:
             return done
 
     def _on_prefill_done(self, job: ActiveJob) -> None:
-        # The GPU was already released by the final prefill slice handler.
+        self._gpu_release()
         self._prefilling_job = None
         job.decode_wall_start = self._clock.now
         self.batch.add(job)
@@ -779,9 +747,9 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Decode
     # ------------------------------------------------------------------
-    def _start_decode_chunk(self, resume: ResumePrefill | None = None) -> None:
-        """Run up to ``decode_chunk_iters`` iterations; afterwards call
-        ``resume`` (a paused chunked prefill) or re-enter dispatch."""
+    def _start_decode_chunk(self) -> None:
+        """Run up to ``decode_chunk_iters`` iterations, then re-enter
+        dispatch."""
         batch = self.batch
         batch_len = len(batch)
         n_iters = min(self.config.decode_chunk_iters, batch.min_remaining())
@@ -806,15 +774,10 @@ class ServingEngine:
         cont.n_iters = n_iters
         cont.duration = duration
         cont.batch_len = batch_len
-        cont.resume = resume
         self.sim.after(duration, cont)
 
     def _on_decode_chunk_done(
-        self,
-        n_iters: int,
-        duration: float,
-        batch_len: int,
-        resume: ResumePrefill | None = None,
+        self, n_iters: int, duration: float, batch_len: int
     ) -> None:
         self._gpu_release()
         share = duration / batch_len
@@ -841,19 +804,13 @@ class ServingEngine:
             self._gpu_occupy(blocking_total)
             cont = self._save_block_done
             cont.epoch = self._epoch
-            cont.resume = resume
             self.sim.after(blocking_total, cont)
-        elif resume is not None:
-            resume()
         else:
             self._dispatch()
 
-    def _on_save_block_done(self, resume: ResumePrefill | None = None) -> None:
+    def _on_save_block_done(self) -> None:
         self._gpu_release()
-        if resume is not None:
-            resume()
-        else:
-            self._dispatch()
+        self._dispatch()
 
     # ------------------------------------------------------------------
     # Completion
@@ -908,6 +865,10 @@ class ServingEngine:
             session.record_turn_served(record.prompt_tokens, record.generated_tokens)
             if session.finished:
                 self._remaining_sessions -= 1
+                # The timer points back at the session; break the cycle
+                # so a dropped session dies by refcount (the loop runs
+                # with the cyclic GC paused).
+                session.timer = None
                 if drop_finished:
                     # Streamed replay: the session will never be looked
                     # up again (its KV lives in the store until evicted

@@ -310,7 +310,7 @@ class MetricsCollector:
         return merged
 
     def record_decode_stall(self, seconds: float) -> None:
-        """Time the decoding batch spent blocked behind a prefill slice."""
+        """Time the decoding batch spent blocked behind a prefill."""
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
         self._max_decode_stall = max(self._max_decode_stall, seconds)

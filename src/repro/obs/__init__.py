@@ -1,6 +1,6 @@
 """Observability for the CachedAttention simulator.
 
-Three independent instruments, all zero-overhead when not attached:
+Two independent instruments, both zero-overhead when not attached:
 
 * :mod:`repro.obs.spans` — a span tracer on the *simulated* clock.  The
   engine, store, channels and cluster emit nested spans for the turn
@@ -12,15 +12,14 @@ Three independent instruments, all zero-overhead when not attached:
   registry (counters, gauges, log-histograms) with per-tier store
   occupancy, channel utilisation and hit/miss/fallback rates, exported
   as stable-schema JSON or CSV.
-* :mod:`repro.obs.profile` — host-side wall-clock sampling of the event
-  loop (events/s, per-event-type cost) behind ``--profile``.
 
-Attaching any instrument never changes simulation results: spans and
+Attaching either instrument never changes simulation results: spans and
 metrics are pure observations of state the simulator computes anyway, so
 traced and untraced runs are bit-identical (guarded by a property test).
+Host-side timing lives outside the package, in ``perfbench/run.py
+--trace 1``.
 """
 
-from .profile import EventLoopProfiler, ProfileReport
 from .registry import MetricsRegistry
 from .probes import (
     collect_cluster_metrics,
@@ -33,9 +32,7 @@ from .trace_export import to_chrome_trace, write_chrome_trace
 __all__ = [
     "AsyncSpan",
     "CounterSample",
-    "EventLoopProfiler",
     "MetricsRegistry",
-    "ProfileReport",
     "Span",
     "SpanTracer",
     "collect_cluster_metrics",

@@ -477,11 +477,11 @@ def check_saved_bytes(
 
 def check_gpu_busy(busy: float, records: list[TurnRecord]) -> None:
     """Assert a crash-free run's GPU-busy seconds are its turns' GPU time,
-    up to one epsilon per rounding step: a turn takes at most new + 1
-    prefill slices, three steps per generated token (busy chunk, share,
-    record sum) and three more to total its record."""
+    up to one epsilon per rounding step: one for the prefill, three per
+    generated token (busy chunk, share, record sum) and three more to
+    total its record."""
     parts = sum(record.gpu_time for record in records)
-    steps = sum(r.new_tokens + 3 * r.generated_tokens + 4 for r in records)
+    steps = sum(3 * r.generated_tokens + 4 for r in records)
     if abs(busy - parts) > steps * sys.float_info.epsilon * max(busy, parts):
         raise SimSanError(f"GPU busy {busy!r} s != turns' GPU time {parts!r} s")
 

@@ -14,12 +14,9 @@ import gc
 from heapq import heappop, heappush
 from itertools import count
 from math import inf
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .clock import SimClock
-
-if TYPE_CHECKING:
-    from ..obs.profile import EventLoopProfiler
 
 
 class Simulator:
@@ -37,9 +34,6 @@ class Simulator:
         # Observation point for sanitizers (repro.sanitize): called with
         # the event's time after each executed event.
         self.event_hook: Callable[[float], None] | None = None
-        # Optional host-side profiler (repro.obs.profile): when set, it
-        # invokes each callback (counting/timing around the single call).
-        self.profiler: "EventLoopProfiler | None" = None
 
     @property
     def now(self) -> float:
@@ -76,12 +70,10 @@ class Simulator:
                 would push the lifetime count past this limit.
 
         A raising callback is consumed; the events after it stay queued,
-        so the run can resume.  ``profiler`` and ``event_hook`` are read
-        once per call.
+        so the run can resume.  ``event_hook`` is read once per call.
         """
         heap = self._heap
         clock = self.clock
-        profiler = self.profiler
         hook = self.event_hook
         limit = inf if until is None else until
         cap = inf if max_events is None else max_events
@@ -107,10 +99,7 @@ class Simulator:
                 if time > last_time:
                     clock.advance_to(time)
                     last_time = time
-                if profiler is None:
-                    callback()
-                else:
-                    profiler.run_event(callback)
+                callback()
                 processed += 1
                 if hook is not None:
                     hook(time)

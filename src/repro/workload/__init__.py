@@ -1,12 +1,5 @@
 """Synthetic multi-turn conversation workloads (ShareGPT-like)."""
 
-from .arrivals import (
-    ArrivalProcess,
-    DiurnalArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-    make_arrival_process,
-)
 from .generator import generate_trace, stream_trace
 from .spec import LognormalSpec, WorkloadSpec
 from .stats import (
@@ -22,19 +15,14 @@ from .stats import (
 from .trace import Conversation, Trace, Turn, merge_traces
 
 __all__ = [
-    "ArrivalProcess",
     "Conversation",
-    "DiurnalArrivals",
     "LognormalSpec",
-    "MMPPArrivals",
-    "PoissonArrivals",
     "Trace",
     "Turn",
     "TurnStats",
     "WorkloadSpec",
     "fraction_multi_turn",
     "generate_trace",
-    "make_arrival_process",
     "mean_turns",
     "merge_traces",
     "per_turn_token_stats",

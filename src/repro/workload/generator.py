@@ -11,7 +11,6 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .arrivals import ArrivalProcess, PoissonArrivals
 from .spec import LognormalSpec, WorkloadSpec
 from .trace import Conversation, Trace, Turn
 
@@ -31,24 +30,18 @@ def _draw_turn_counts(rng: np.random.Generator, spec: WorkloadSpec, n: int) -> n
     return np.minimum(counts, spec.max_turns)
 
 
-def generate_trace(
-    spec: WorkloadSpec | None = None,
-    arrival_process: ArrivalProcess | None = None,
-    **overrides: Any,
-) -> Trace:
+def generate_trace(spec: WorkloadSpec | None = None, **overrides: Any) -> Trace:
     """Generate a synthetic conversation trace.
 
     Args:
         spec: workload specification; defaults to the paper's ShareGPT-like
             settings.  Keyword ``overrides`` replace individual fields, e.g.
             ``generate_trace(n_sessions=500, seed=7)``.
-        arrival_process: session arrival process; defaults to the paper's
-            Poisson process at ``spec.arrival_rate`` (see
-            :mod:`repro.workload.arrivals` for bursty/diurnal options).
 
     Returns:
         A :class:`~repro.workload.trace.Trace` with ``spec.n_sessions``
-        conversations and lognormal turn lengths.
+        conversations, Poisson session arrivals at ``spec.arrival_rate``
+        (the paper's Section 4.1 setting) and lognormal turn lengths.
 
     The returned trace is fully materialised — every conversation object
     exists before the engine sees the first arrival.  For replays too
@@ -67,16 +60,13 @@ def generate_trace(
     rng = np.random.default_rng(spec.seed)
     n = spec.n_sessions
 
-    if arrival_process is None:
-        arrival_process = PoissonArrivals(rate=spec.arrival_rate)
-    arrivals = arrival_process.sample(n, rng)
+    arrivals = np.cumsum(rng.exponential(1.0 / spec.arrival_rate, size=n))
     conversations = list(_conversations(rng, spec, arrivals, n, 0))
 
     metadata = {
         "generator": "repro.workload.generator",
         "n_sessions": spec.n_sessions,
         "arrival_rate": spec.arrival_rate,
-        "arrival_process": type(arrival_process).__name__,
         "seed": spec.seed,
     }
     if spec.shared_prefix_fraction > 0:
@@ -207,10 +197,7 @@ def stream_trace(
 
     Args:
         spec: workload specification (defaults to the paper's settings);
-            keyword ``overrides`` replace individual fields.  Arrivals
-            are always Poisson at ``spec.arrival_rate`` — bursty/diurnal
-            processes sample sequentially and are not prefix-stable, so
-            they remain exclusive to :func:`generate_trace`.
+            keyword ``overrides`` replace individual fields.
         block_sessions: sessions drawn per substream block.
     """
     if spec is None:

@@ -158,7 +158,7 @@ EPOCH_GUARDED = (PrefillSliceDone, DecodeChunkDone, SaveBlockDone, TtlSweep)
 
 #: The engine handlers those continuations run; a down replica runs none.
 GUARDED_HANDLERS = (
-    "_on_prefill_slice_done",
+    "_on_prefill_done",
     "_on_decode_chunk_done",
     "_on_save_block_done",
     "_ttl_sweep",

@@ -1,8 +1,8 @@
 """Instrumentation must be pure observation: bit-identical results.
 
 The acceptance property of the whole observability layer — attaching a
-span tracer, metrics probes and the event-loop profiler must not change
-a single float of the run's outcome.  Checked here by comparing complete
+span tracer and metrics probes must not change a single float of the
+run's outcome.  Checked here by comparing complete
 ``RunResult`` / ``ClusterResult`` values (frozen dataclasses with value
 equality) between instrumented and plain runs of identical workloads.
 """
@@ -19,7 +19,7 @@ from repro.faults import (
     ReplicaFaultSchedule,
 )
 from repro.models import MiB, get_model
-from repro.obs import EventLoopProfiler, SpanTracer
+from repro.obs import SpanTracer
 from repro.workload import WorkloadSpec, generate_trace
 from repro.workload.trace import Conversation, Trace, Turn
 
@@ -50,8 +50,6 @@ def run_engine(trace, instrumented, dram_mib=400):
     )
     if instrumented:
         SpanTracer().attach_engine(engine)
-        profiler = EventLoopProfiler(sample_every=2)
-        profiler.install(engine.sim)
     return engine.run(trace)
 
 
@@ -84,7 +82,6 @@ class TestClusterBitIdentity:
         )
         if instrumented:
             SpanTracer().attach_cluster(cluster)
-            EventLoopProfiler().install(cluster.sim)
         trace = generate_trace(WorkloadSpec(n_sessions=60, seed=23))
         return cluster.run(trace)
 

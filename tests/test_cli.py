@@ -161,6 +161,15 @@ class TestFlagValidation:
                     "--fault-profile chaos-cluster",
                     ["run", "trace", "run-sweep"],
                 ),
+                (["--arrival-rate", "0"], "--arrival-rate 0.0", ["workload"]),
+                (["--ttl", "0"], "--ttl 0.0", ["capacity"]),
+                (["--share-ratio", "1.5"], "--share-ratio 1.5", SERVING + ["workload"]),
+                (["--share-ratio", "-0.5"], "--share-ratio -0.5", SERVING + ["workload"]),
+                (
+                    ["--param", "batch-size", "--values", "abc"],
+                    "--values abc",
+                    ["run-sweep"],
+                ),
             ]
             for command in commands
         ],

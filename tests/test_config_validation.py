@@ -110,11 +110,6 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(write_buffer_layers=-1)
 
-    def test_chunked_prefill_tokens(self):
-        with pytest.raises(ValueError):
-            EngineConfig(chunked_prefill_tokens=0)
-        EngineConfig(chunked_prefill_tokens=None)
-
     def test_decode_chunk_iters_positive(self):
         with pytest.raises(ValueError):
             EngineConfig(decode_chunk_iters=0)

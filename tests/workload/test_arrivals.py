@@ -1,138 +1,28 @@
-"""Tests for the session arrival processes."""
+"""Session arrivals: the paper's Poisson process (Section 4.1)."""
 
 import numpy as np
 import pytest
 
-from repro.workload import (
-    DiurnalArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-    generate_trace,
-    make_arrival_process,
-)
+from repro.workload import generate_trace
 
 
-def rng():
-    return np.random.default_rng(0)
+def arrival_times(n_sessions: int, rate: float = 2.0) -> np.ndarray:
+    trace = generate_trace(n_sessions=n_sessions, seed=0, arrival_rate=rate)
+    return np.array([conv.arrival_time for conv in trace])
 
 
 class TestPoissonArrivals:
     def test_monotone_increasing(self):
-        times = PoissonArrivals(rate=2.0).sample(500, rng())
+        times = arrival_times(500)
         assert np.all(np.diff(times) > 0)
 
     def test_mean_rate(self):
-        times = PoissonArrivals(rate=2.0).sample(20_000, rng())
+        times = arrival_times(20_000)
         measured = len(times) / times[-1]
         assert measured == pytest.approx(2.0, rel=0.05)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(rate=0.0)
-        with pytest.raises(ValueError):
-            PoissonArrivals(rate=1.0).sample(0, rng())
-
-
-class TestMMPPArrivals:
-    def test_monotone_increasing(self):
-        times = MMPPArrivals(rate=1.0).sample(2000, rng())
-        assert np.all(np.diff(times) > 0)
-
-    def test_mean_rate_preserved(self):
-        # Short state residencies give enough quiet/burst cycles for the
-        # long-run average to stabilise.
-        proc = MMPPArrivals(
-            rate=1.0, burst_factor=4.0, mean_quiet=30.0, mean_burst=6.0
-        )
-        times = proc.sample(30_000, rng())
-        measured = len(times) / times[-1]
-        assert measured == pytest.approx(1.0, rel=0.1)
-
-    def test_burstier_than_poisson(self):
-        """Inter-arrival coefficient of variation exceeds Poisson's 1."""
-        times = MMPPArrivals(
-            rate=1.0, burst_factor=6.0, mean_quiet=200.0, mean_burst=50.0
-        ).sample(30_000, rng())
-        gaps = np.diff(times)
-        cv = gaps.std() / gaps.mean()
-        assert cv > 1.1
-
-    def test_state_rates_bracket_mean(self):
-        proc = MMPPArrivals(rate=1.0, burst_factor=4.0)
-        quiet, burst = proc._state_rates()
-        assert quiet < 1.0 < burst
-        assert burst == pytest.approx(4.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MMPPArrivals(burst_factor=1.0)
-        with pytest.raises(ValueError):
-            MMPPArrivals(mean_quiet=0.0)
-
-
-class TestDiurnalArrivals:
-    def test_monotone_increasing(self):
-        times = DiurnalArrivals(rate=1.0, period=600.0).sample(2000, rng())
-        assert np.all(np.diff(times) > 0)
-
-    def test_mean_rate_preserved(self):
-        times = DiurnalArrivals(rate=1.0, period=600.0, depth=0.6).sample(
-            30_000, rng()
-        )
-        measured = len(times) / times[-1]
-        assert measured == pytest.approx(1.0, rel=0.1)
-
-    def test_rate_modulation_visible(self):
-        """Arrivals concentrate in the sine peaks."""
-        period = 1000.0
-        times = DiurnalArrivals(rate=1.0, period=period, depth=0.9).sample(
-            20_000, rng()
-        )
-        phase = (times % period) / period
-        peak = np.mean((phase > 0.05) & (phase < 0.45))  # sin > 0 region
-        trough = np.mean((phase > 0.55) & (phase < 0.95))
-        assert peak > 1.5 * trough
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiurnalArrivals(depth=1.0)
-        with pytest.raises(ValueError):
-            DiurnalArrivals(period=0.0)
-
-
-class TestFactoryAndIntegration:
-    @pytest.mark.parametrize("name", ["poisson", "mmpp", "diurnal"])
-    def test_factory(self, name):
-        proc = make_arrival_process(name, rate=2.0)
-        assert proc.sample(10, rng()).shape == (10,)
-
-    def test_factory_unknown(self):
-        with pytest.raises(ValueError, match="unknown arrival process"):
-            make_arrival_process("pareto", rate=1.0)
-
-    def test_generate_trace_with_custom_process(self):
-        trace = generate_trace(
-            n_sessions=40, seed=3, arrival_process=MMPPArrivals(rate=2.0)
-        )
-        assert len(trace) == 40
-        assert trace.metadata["arrival_process"] == "MMPPArrivals"
-
-    def test_default_process_is_poisson(self):
-        trace = generate_trace(n_sessions=10, seed=3)
-        assert trace.metadata["arrival_process"] == "PoissonArrivals"
-
-    def test_engine_runs_bursty_workload(self):
-        from repro.config import EngineConfig
-        from repro.engine import ServingEngine
-        from repro.models import get_model
-
-        trace = generate_trace(
-            n_sessions=30,
-            seed=5,
-            arrival_process=MMPPArrivals(rate=2.0, burst_factor=5.0),
-        )
-        engine = ServingEngine(
-            get_model("llama-13b"), engine_config=EngineConfig(batch_size=4)
-        )
-        result = engine.run(trace)
-        assert result.summary.n_turns == trace.n_turns_total
+        with pytest.raises(ValueError, match="arrival_rate"):
+            generate_trace(n_sessions=10, arrival_rate=0.0)
+        with pytest.raises(ValueError, match="n_sessions"):
+            generate_trace(n_sessions=0, arrival_rate=1.0)

@@ -1,11 +1,13 @@
 """Streaming trace generation and the engine's streamed-arrival path."""
 
 import dataclasses
+import gc
 
 import pytest
 
 from repro.config import EngineConfig
 from repro.engine import ServingEngine
+from repro.engine.session import SessionState
 from repro.models import get_model
 from repro.workload import Conversation, Trace, Turn, stream_trace
 
@@ -72,6 +74,21 @@ class TestEngineStreamedReplay:
         engine.run(stream_trace(n_sessions=300, seed=4))
         assert len(engine.sessions) == 0
         assert 0 < engine._peak_live_sessions < 300
+
+    def test_finished_sessions_die_without_the_cyclic_gc(self):
+        """A dropped session must be freed by refcount: ``sim.run()``
+        pauses the cyclic GC, so a reference cycle through the session
+        would keep every finished session alive until the run ends."""
+        gc.collect()
+        gc.disable()
+        try:
+            engine = build_engine()
+            engine.run(stream_trace(n_sessions=200, seed=4))
+            alive = sum(isinstance(o, SessionState) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert len(engine.sessions) == 0
+        assert alive == 0
 
     def test_materialized_replay_keeps_sessions(self):
         """The non-streamed path is unchanged: sessions stay queryable."""
