@@ -1,8 +1,9 @@
 """Streamed-replay memory: O(live sessions), not O(total sessions).
 
-A :func:`repro.workload.stream_trace` replay drops each session once it
-finishes, so its peak RSS is set by the live-session high-water mark,
-not by the trace length.  This bench replays 100,000 streamed sessions
+Every replay drops each session once it finishes; a
+:func:`repro.workload.stream_trace` replay also generates its
+conversations lazily with one arrival pending, so its peak RSS is set
+by the live-session high-water mark, not by the trace length.  This bench replays 100,000 streamed sessions
 and a quarter-size stream, each in its own subprocess (``ru_maxrss`` is
 monotone over a process's lifetime, so sharing a process would report
 whichever run peaked highest), and bounds the large run's peak RSS by

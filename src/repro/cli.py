@@ -373,7 +373,8 @@ _FLAG_FLOORS = (
 
 def _validate_args(args: argparse.Namespace) -> None:
     """Exit 2 naming the flag when a value is out of range, ``--trace``
-    names no file, or a flag would be a silent no-op given the rest of the
+    names no file, an output path is a directory or has no parent
+    directory, or a flag would be a silent no-op given the rest of the
     command line.  Every command that builds a trace or configs runs it."""
     for attr, floor in _FLAG_FLOORS:
         value = getattr(args, attr, None)
@@ -382,6 +383,15 @@ def _validate_args(args: argparse.Namespace) -> None:
     trace = getattr(args, "trace", None)
     if trace is not None and not trace.is_file():
         _fail(args, f"--trace {trace}: no such file")
+    for attr in ("out", "metrics_out"):
+        path = getattr(args, attr, None)
+        if path is None:
+            continue
+        flag = f"--{attr.replace('_', '-')}"
+        if path.is_dir():
+            _fail(args, f"{flag} {path}: is a directory")
+        if not path.parent.is_dir():
+            _fail(args, f"{flag} {path}: no such directory {path.parent}")
     profile = getattr(args, "fault_profile", "none")
     faults = fault_profile(profile, seed=getattr(args, "fault_seed", 0))
     schedule = faults.replica_schedule if faults is not None else None

@@ -649,9 +649,8 @@ class ClusterEngine:
 
         Sessions with an in-flight turn finish it here first (a draining
         replica keeps serving what it admitted — it just takes no more);
-        the periodic poll catches them once idle.  When only finished
-        sessions remain, their leftover KV is dropped and the replica
-        stops.
+        the periodic poll catches them once idle.  When no live session
+        remains, the leftover KV is dropped and the replica stops.
         """
         life = self.lifecycles[index]
         if life.state is not ReplicaState.DRAINING:

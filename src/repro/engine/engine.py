@@ -186,6 +186,7 @@ class ServingEngine:
         self.metrics = MetricsCollector(
             warmup_turns=warmup_turns, streaming=streaming_metrics
         )
+        # Live sessions only: a session leaves when its last turn completes.
         self.sessions: dict[int, SessionState] = {}
 
         self._gpu_busy = False
@@ -218,11 +219,10 @@ class ServingEngine:
         # when unset.  Pure observation — never alters timing.
         self.tracer: "SpanTracer | None" = None
         # Streamed-trace state: the pending generator (None for
-        # materialised traces) and whether finished sessions are dropped
-        # from ``self.sessions`` to keep memory O(live sessions).
+        # materialised traces) and its single pending arrival event.
         self._stream: Iterator[Conversation] | None = None
         self._stream_arrival: StreamArrival | None = None
-        self._drop_finished_sessions = False
+        # High-water mark of ``self.sessions`` (live sessions only).
         self._peak_live_sessions = 0
         # Hot-path bindings: the decode-chunk cost function (memoised in
         # PerfModel) and a per-engine save-cost memo keyed by the exact
@@ -279,12 +279,11 @@ class ServingEngine:
         replicas sharing one simulator before draining it once.
 
         ``trace`` is either a materialised :class:`Trace` — every arrival
-        is scheduled up front, exactly as before — or an arrival-ordered
-        iterable of :class:`Conversation` objects (e.g.
-        :func:`repro.workload.stream_trace`).  A streamed trace is pulled
-        lazily: exactly one arrival event is pending at any time and
-        finished sessions are dropped from :attr:`sessions`, so in-flight
-        memory is O(live sessions) instead of O(total sessions).
+        is scheduled up front — or an arrival-ordered iterable of
+        :class:`Conversation` objects (e.g.
+        :func:`repro.workload.stream_trace`), pulled lazily so exactly one
+        arrival event is pending at any time.  Either way a finished
+        session leaves :attr:`sessions`, which holds live sessions only.
         """
         if isinstance(trace, Trace):
             if len(trace) == 0:
@@ -300,7 +299,6 @@ class ServingEngine:
         if first is None:
             raise ValueError("cannot run an empty trace")
         self._stream = stream
-        self._drop_finished_sessions = True
         self._remaining_sessions += 1
         self._stream_arrival = StreamArrival(self, first)
         self.sim.at(first.arrival_time, self._stream_arrival)
@@ -382,10 +380,12 @@ class ServingEngine:
     # Arrival path
     # ------------------------------------------------------------------
     def _start_session(self, conv: Conversation) -> None:
-        session = SessionState(conversation=conv)
         sessions = self.sessions
+        if conv.session_id in sessions:
+            raise ValueError(f"session {conv.session_id} is already live")
+        session = SessionState(conversation=conv)
         sessions[conv.session_id] = session
-        if self._drop_finished_sessions and len(sessions) > self._peak_live_sessions:
+        if len(sessions) > self._peak_live_sessions:
             self._peak_live_sessions = len(sessions)
         self._submit_next_turn(session)
 
@@ -829,7 +829,6 @@ class ServingEngine:
         tracer = self.tracer
         active = self._active_sessions
         after = self.sim.after
-        drop_finished = self._drop_finished_sessions
         reserved_delta = 0
         blocking_total = 0.0
         for job in finished:
@@ -869,12 +868,10 @@ class ServingEngine:
                 # so a dropped session dies by refcount (the loop runs
                 # with the cyclic GC paused).
                 session.timer = None
-                if drop_finished:
-                    # Streamed replay: the session will never be looked
-                    # up again (its KV lives in the store until evicted
-                    # or expired), so holding it would make memory
-                    # O(total sessions).
-                    del sessions[session_id]
+                # The session will never be looked up again (its KV
+                # lives in the store until evicted or expired), so
+                # holding it would make memory O(total sessions).
+                del sessions[session_id]
             else:
                 think = session.conversation.turns[session.next_turn].think_time
                 timer = session.timer

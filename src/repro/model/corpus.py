@@ -59,12 +59,6 @@ class CopyCorpusSpec:
     doc_sentences: int = 12
     seed: int = 7
 
-    @property
-    def doc_length(self) -> int:
-        """Approximate document length in characters."""
-        sentence = self.sentence_words * (self.word_length + 1) + 1
-        return self.doc_sentences * sentence
-
 
 #: Stand-ins for the paper's three PPL datasets.  They differ in word
 #: length, per-document vocabulary and sentence length, giving three

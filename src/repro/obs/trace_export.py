@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .spans import SpanTracer
 
@@ -161,14 +161,3 @@ def write_chrome_trace(
     trace_events = trace["traceEvents"]
     assert isinstance(trace_events, list)
     return len(trace_events)
-
-
-def iter_event_names(trace: dict[str, object]) -> Iterable[str]:
-    """Names of all non-metadata events in an exported trace (test hook)."""
-    trace_events = trace["traceEvents"]
-    assert isinstance(trace_events, list)
-    for event in trace_events:
-        if event.get("ph") != "M":
-            name = event["name"]
-            assert isinstance(name, str)
-            yield name

@@ -48,14 +48,6 @@ class PrefetchDecision:
     n_bytes: int
     queue_position: int
 
-    def trace_args(self) -> dict[str, object]:
-        """The decision as stable span-annotation args (repro.obs)."""
-        return {
-            "session": self.session_id,
-            "bytes": self.n_bytes,
-            "queue_position": self.queue_position,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class WindowEntry:

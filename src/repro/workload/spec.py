@@ -160,11 +160,6 @@ class WorkloadSpec:
         return 1.0 / (self.multi_turn_mean - 1.0)
 
     @property
-    def mean_turn_tokens(self) -> float:
-        """Expected question + answer tokens in one turn (untruncated)."""
-        return self.q_tokens.mean + self.a_tokens.mean
-
-    @property
     def think_time_mu(self) -> float:
         """Underlying-normal mu giving the configured lognormal mean."""
         return math.log(self.think_time_mean) - self.think_time_sigma**2 / 2.0

@@ -43,6 +43,14 @@ def run(trace, store_config=None, tracer=None):
     return engine, result
 
 
+def final_histories(records):
+    """Each session's history after its last served turn, by session id."""
+    history = {}
+    for r in sorted(records, key=lambda r: r.turn_index):
+        history[r.session_id] = r.prompt_tokens + r.generated_tokens
+    return history
+
+
 @pytest.fixture(scope="module")
 def shared_run():
     return run(sharing_trace())
@@ -103,17 +111,21 @@ class TestSharedServing:
         is smaller than the session's full history by the prefix."""
         engine, _ = shared_run
         store = engine.store
+        history = final_histories(engine.metrics.records)
         suffix_sessions = [
-            s
-            for s in engine.sessions.values()
-            if s.shared_hash is not None
-            and not s.shared_detached
-            and store.get(s.session_id) is not None
+            conv
+            for conv in sharing_trace().conversations
+            if conv.shared_prefix_tokens
+            and store.shared_ref_of(conv.session_id) is not None
+            and store.get(conv.session_id) is not None
         ]
         assert suffix_sessions
-        for s in suffix_sessions:
-            item = store.get(s.session_id)
-            assert item.n_tokens <= s.history_tokens - s.conversation.shared_prefix_tokens
+        for conv in suffix_sessions:
+            item = store.get(conv.session_id)
+            assert (
+                item.n_tokens
+                <= history[conv.session_id] - conv.shared_prefix_tokens
+            )
 
 
 class TestSharingDisabled:
@@ -161,12 +173,15 @@ class TestDivergence:
         )
         result = engine.run(trace)
         assert result.summary.n_turns == trace.n_turns_total
+        truncated = {r.session_id for r in engine.metrics.records if r.dropped_tokens}
         detached = [
-            s
-            for s in engine.sessions.values()
-            if s.conversation.shared_prefix_tokens and s.shared_detached
+            conv.session_id
+            for conv in trace.conversations
+            if conv.shared_prefix_tokens and conv.session_id in truncated
         ]
         assert detached
+        for session_id in detached:
+            assert engine.store.shared_ref_of(session_id) is None
         engine.store.check_invariants()
 
 

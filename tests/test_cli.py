@@ -170,6 +170,11 @@ class TestFlagValidation:
                     "--values abc",
                     ["run-sweep"],
                 ),
+                (["--out", "{nodir}"], "--out", ["workload", "trace"]),
+                (["-o", "{nodir}"], "--out", ["trace"]),
+                (["--out", "{dir}"], "--out", ["workload", "trace"]),
+                (["--metrics-out", "{nodir}"], "--metrics-out", ["run", "trace"]),
+                (["--metrics-out", "{dir}"], "--metrics-out", ["run", "trace"]),
             ]
             for command in commands
         ],
@@ -193,6 +198,7 @@ class TestFlagValidation:
             name: tmp_path / f"{name}.json"
             for name in ("missing", "garbled", "fractional")
         }
+        paths.update(nodir=tmp_path / "nodir" / "x.json", dir=tmp_path)
         argv = [command] + extra + [f.format(**paths) for f in flags]
         with pytest.raises(SystemExit) as exc:
             main(argv)

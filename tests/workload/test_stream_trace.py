@@ -5,11 +5,19 @@ import gc
 
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterEngine
 from repro.config import EngineConfig
 from repro.engine import ServingEngine
 from repro.engine.session import SessionState
 from repro.models import get_model
-from repro.workload import Conversation, Trace, Turn, stream_trace
+from repro.workload import (
+    Conversation,
+    Trace,
+    Turn,
+    WorkloadSpec,
+    generate_trace,
+    stream_trace,
+)
 
 
 def build_engine() -> ServingEngine:
@@ -75,27 +83,50 @@ class TestEngineStreamedReplay:
         assert len(engine.sessions) == 0
         assert 0 < engine._peak_live_sessions < 300
 
-    def test_finished_sessions_die_without_the_cyclic_gc(self):
-        """A dropped session must be freed by refcount: ``sim.run()``
-        pauses the cyclic GC, so a reference cycle through the session
-        would keep every finished session alive until the run ends."""
+    @pytest.mark.parametrize("replay", ["streamed", "materialized", "cluster"])
+    def test_finished_sessions_die_without_the_cyclic_gc(self, replay):
+        """A finished session must be freed by refcount in every replay:
+        ``sim.run()`` pauses the cyclic GC, so a reference cycle through
+        the session would keep every finished session alive until the run
+        ends.  A materialised trace the caller has deleted must take its
+        conversations with it once their sessions finish."""
         gc.collect()
         gc.disable()
         try:
-            engine = build_engine()
-            engine.run(stream_trace(n_sessions=200, seed=4))
-            alive = sum(isinstance(o, SessionState) for o in gc.get_objects())
+            if replay == "streamed":
+                runner = build_engine()
+                runner.schedule_trace(stream_trace(n_sessions=200, seed=4))
+            else:
+                trace = generate_trace(WorkloadSpec(n_sessions=200, seed=4))
+                if replay == "materialized":
+                    runner = build_engine()
+                else:
+                    runner = ClusterEngine(
+                        get_model("llama-13b"),
+                        cluster=ClusterConfig(n_instances=2),
+                        engine_config=EngineConfig(batch_size=8),
+                    )
+                runner.schedule_trace(trace)
+                del trace
+            runner.sim.run()
+            objects = gc.get_objects()
+            sessions = sum(isinstance(o, SessionState) for o in objects)
+            conversations = sum(isinstance(o, Conversation) for o in objects)
+            del objects
         finally:
             gc.enable()
-        assert len(engine.sessions) == 0
-        assert alive == 0
+        assert (sessions, conversations) == (0, 0)
+        engines = runner.engines if replay == "cluster" else [runner]
+        assert [len(engine.sessions) for engine in engines] == [0] * len(engines)
 
-    def test_materialized_replay_keeps_sessions(self):
-        """The non-streamed path is unchanged: sessions stay queryable."""
+    def test_materialized_replay_drops_finished_sessions(self):
+        """A materialised trace keeps only live sessions, as a streamed
+        one does."""
         engine = build_engine()
         trace = Trace(conversations=list(stream_trace(n_sessions=50, seed=4)))
         engine.run(trace)
-        assert len(engine.sessions) == 50
+        assert len(engine.sessions) == 0
+        assert 0 < engine._peak_live_sessions < 50
 
     def test_out_of_order_stream_rejected(self):
         turns = (Turn(q_tokens=10, a_tokens=10),)
@@ -105,6 +136,21 @@ class TestEngineStreamedReplay:
         ]
         engine = build_engine()
         with pytest.raises(ValueError, match="arrival-ordered"):
+            engine.run(iter(convs))
+
+    def test_repeated_live_session_rejected(self):
+        """Session 0 is still thinking before its second turn when its id
+        arrives again."""
+        turns = (
+            Turn(q_tokens=10, a_tokens=10),
+            Turn(q_tokens=10, a_tokens=10, think_time=5.0),
+        )
+        convs = [
+            Conversation(session_id=0, arrival_time=0.0, turns=turns),
+            Conversation(session_id=0, arrival_time=1.0, turns=turns),
+        ]
+        engine = build_engine()
+        with pytest.raises(ValueError, match="session 0 is already live"):
             engine.run(iter(convs))
 
     def test_empty_stream_rejected(self):
