@@ -11,6 +11,8 @@ simulated event:
 * AttentionStore byte/tier accounting is conserved after every mutation
   (:meth:`AttentionStore.check_invariants` — tier exclusivity, capacity,
   dirty-token state);
+* every applied eviction plan takes only evictable victims from its own
+  tier, and conserves the tier's free blocks (:func:`check_placement`);
 * every §3.3.1 prefetch plan equals the reference window walk
   (:func:`~repro.store.prefetch.plan_prefetches`), and the incremental
   planner's state — charges, prefix sums, disk candidates — equals a
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import partial
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -55,7 +58,9 @@ if TYPE_CHECKING:
     from .engine.truncation import TruncationOutcome, TurnPlan
     from .sim.loop import Simulator
     from .store.attention_store import AttentionStore
+    from .store.item import KVCacheItem
     from .store.policy import QueueView
+    from .store.tier import StorageTier
 
 SANITIZE_ENV = "REPRO_SANITIZE"
 STRIDE_ENV = "REPRO_SANITIZE_STRIDE"
@@ -182,9 +187,7 @@ class SimSanitizer:
         "save_to_hbm_cache",
         "drop",
         "discard_stale",
-        "invalidate",
         "truncate",
-        "apply_discard_list",
         "extract",
         "admit_migrated",
         "lose_tier",
@@ -234,6 +237,8 @@ class SimSanitizer:
             check_prefetch_plan(store, queue, fetch_ids)
 
         store.plan_check = plan_check
+        store.victim_check = partial(check_victim, store)
+        store.placement_check = check_placement
         store._simsan_installed = True  # type: ignore[attr-defined]
 
 
@@ -282,7 +287,7 @@ def check_prefetch_plan(
 
     def residency(session_id: int) -> WindowEntry | None:
         item = store.get(session_id)
-        if item is None or not item.valid:
+        if item is None:
             return None
         return WindowEntry(
             item.n_bytes, item.tier is Tier.DISK and not item.fetch_in_flight
@@ -304,6 +309,41 @@ def check_prefetch_plan(
         store.prefetch_planner.check(queue, store.disk_tier.session_ids())
     except AssertionError as exc:
         raise SimSanError(f"prefetch planner state: {exc}") from exc
+
+
+def check_victim(
+    store: AttentionStore, tier: StorageTier, victim: KVCacheItem
+) -> None:
+    """Assert an eviction victim, as its plan takes it, sits in the plan's
+    tier and is evictable: no fetch in flight and, below HBM, not pinned
+    and not a shared block some session references.  (An HBM victim stays
+    in the store: it overflows to DRAM, so the HBM plan exempts none.)"""
+    sid = victim.session_id
+    resident = tier.get(sid) is victim
+    held = tier is not store.hbm_tier and (
+        sid in store.pinned_sessions or sid in store._shared_pinned
+    )
+    if not resident or held or victim.fetch_in_flight:
+        raise SimSanError(
+            f"{tier.tier.value} eviction victim {sid}: resident {resident}, "
+            f"pinned or referenced {held}, in flight {victim.fetch_in_flight}"
+        )
+
+
+def check_placement(
+    tier: StorageTier, before: int, victims: list[KVCacheItem], admitted: int
+) -> None:
+    """Assert an applied eviction plan conserved ``tier``'s blocks: its
+    free blocks now equal those ``before`` the plan, plus the victims'
+    blocks, minus the ``admitted`` blocks of the item it made room for."""
+    block = tier.block_bytes
+    freed = sum(-(-victim.n_bytes // block) for victim in victims)
+    if tier.free_blocks != before + freed - admitted:
+        raise SimSanError(
+            f"{tier.tier.value} placement: {tier.free_blocks} free blocks "
+            f"after evicting {[v.session_id for v in victims]}, expected "
+            f"{before} + {freed} freed - {admitted} admitted"
+        )
 
 
 def install_engine(engine: ServingEngine) -> SimSanitizer:

@@ -8,7 +8,9 @@ Responsibilities (Section 3 of the paper):
 * prefetch upcoming sessions' caches from disk to DRAM using scheduler
   hints (Section 3.3.1);
 * evict DRAM -> disk -> out-of-system with a pluggable policy
-  (scheduler-aware by default; LRU/FIFO baselines, Section 3.3.2);
+  (scheduler-aware by default; LRU/FIFO baselines, Section 3.3.2): every
+  eviction is one plan of :func:`~repro.store.policy.plan_evictions`,
+  applied by :meth:`AttentionStore._place`;
 * expire items whose TTL since last access has lapsed (Section 4.3.6);
 * truncate stored caches on context-window overflow — only possible when
   the KV was saved with positional encodings decoupled (Section 3.4);
@@ -44,6 +46,8 @@ from .policy import (
     LRUPolicy,
     QueueView,
     SchedulerAwarePolicy,
+    VictimSource,
+    plan_evictions,
 )
 from .prefetch import PrefetchPlanner
 from .sharing import SharedBlock, SharedLookup
@@ -121,12 +125,11 @@ class StoreStats:
     shared_adoptions: int = 0
 
 
-def make_policy(
-    name: EvictionPolicyName, window_limit: int | None = None
-) -> EvictionPolicy:
-    """Instantiate an eviction policy by configuration name."""
+def make_policy(name: EvictionPolicyName) -> EvictionPolicy:
+    """Instantiate an eviction policy by configuration name (the store sets
+    the scheduler-aware window limit on every eviction plan)."""
     if name is EvictionPolicyName.SCHEDULER_AWARE:
-        return SchedulerAwarePolicy(window_limit=window_limit)
+        return SchedulerAwarePolicy()
     if name is EvictionPolicyName.LRU:
         return LRUPolicy()
     if name is EvictionPolicyName.FIFO:
@@ -135,6 +138,8 @@ def make_policy(
 
 
 _EMPTY_QUEUE = EmptyQueueView()
+#: The HBM cache tier overflows its least-recently-used items.
+_HBM_POLICY = LRUPolicy()
 
 #: Lookup status by residency tier (module-level: the lookup hot path must
 #: not rebuild this mapping on every call).
@@ -171,11 +176,11 @@ class AttentionStore:
                 self.ssd.fault_hook = fault_injector
         self._items: dict[int, KVCacheItem] = {}
         # The incremental §3.3.1 planner learns of tier movement from a
-        # change log: the tiers log every admit, remove and resize, and
-        # invalidate() the flag it flips (only when prefetching is on;
-        # each prefetch() call drains the log, as the engine makes one per
-        # queue push and pop).  A fetch is only ever in flight into DRAM,
-        # so complete_fetch() changes nothing the planner reads.
+        # change log: the tiers log every admit, remove and resize (only
+        # when prefetching is on; each prefetch() call drains the log, as
+        # the engine makes one per queue push and pop).  A fetch is only
+        # ever in flight into DRAM, so complete_fetch() changes nothing the
+        # planner reads.
         changes: list[int] = []
         self._plan_changes = changes if config.enable_prefetch else None
         # Sessions of running jobs (the engine pins a job's session while
@@ -195,6 +200,13 @@ class AttentionStore:
         #: Optional cross-check run on every plan before it is issued
         #: (installed by SimSan): ``(queue, fetch_ids)``.
         self.plan_check: Callable[[QueueView, list[int]], None] | None = None
+        #: Optional cross-checks of every applied eviction plan (installed
+        #: by SimSan): each victim as it is taken, and the tier's blocks
+        #: once the plan and its admission are done.
+        self.victim_check: Callable[[StorageTier, KVCacheItem], None] | None = None
+        self.placement_check: (
+            Callable[[StorageTier, int, list[KVCacheItem], int], None] | None
+        ) = None
         self._tiers = {
             Tier.HBM: self.hbm_tier,
             Tier.DRAM: self.dram_tier,
@@ -287,23 +299,13 @@ class AttentionStore:
         capacity = self.dram_tier.capacity_bytes + self.disk_tier.capacity_bytes
         return max(1, int(capacity / max(self.avg_item_bytes, 1.0)))
 
-    def prefetch_window_limit(self) -> int:
-        """Look-ahead prefetching window length (Section 3.3.1):
-        ``L_pw = C_mem / S_kv``."""
-        return max(
-            1, int(self.dram_tier.capacity_bytes / max(self.avg_item_bytes, 1.0))
-        )
-
-    def _tier_of(self, item: KVCacheItem) -> StorageTier:
-        return self._tiers[item.tier]
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def lookup(self, session_id: int, now: float) -> LookupResult:
         """Check whether a resuming session's KV cache can be reused.
 
-        Expired or invalidated items are dropped and reported as misses.
+        Expired items are dropped and reported as misses.
         Items are validated before being served: a lost item is a plain
         miss, a corrupt one (checksum mismatch) reports ``MISS_CORRUPT``
         so the engine can account the recompute fallback separately.
@@ -311,9 +313,6 @@ class AttentionStore:
         """
         item = self._items.get(session_id)
         if item is None:
-            return LookupResult(LookupStatus.MISS)
-        if not item.valid:
-            self.drop(session_id)
             return LookupResult(LookupStatus.MISS)
         if item.lost:
             self.stats.lost_items += 1
@@ -354,74 +353,59 @@ class AttentionStore:
         Evicts DRAM -> disk -> out as needed.  Returns the stored item, or
         None when the cache cannot fit anywhere (it is then simply not
         retained — a store overflow).  When a *replacement* is rejected the
-        session's previous item is kept: the still-reusable turn N-1 prefix
-        must not be destroyed by a failed save of turn N.
+        session's previous item is put back, at the MRU end of its tier:
+        the still-reusable turn N-1 prefix must not be destroyed by a
+        failed save of turn N.  The rejected save's evictions still ran,
+        though, and the old item is lost (counted in ``evicted_out``) when
+        they took the room it left, e.g. a demotion filled its disk slot.
         """
         if n_tokens <= 0:
             raise ValueError(f"n_tokens must be positive, got {n_tokens}")
-        n_bytes = self.item_bytes(n_tokens)
         # Replacing a session's item extends it by one turn; KV blocks
         # already spilled to disk stay addressable for delta write-back
         # (lazy reclamation), so the dirty state survives the replace.  The
-        # old item is only *removed* here; it is restored if the
-        # replacement cannot be admitted.
-        old = self._items.pop(session_id, None)
-        old_written = self._disk_written_tokens.pop(session_id, 0)
-        old_tier = None
-        if old is not None:
-            old_tier = self._tier_of(old)
-            old_tier.remove(session_id)
-            self._total_item_bytes -= old.n_bytes
-
-        if n_bytes > self.dram_tier.capacity_bytes or not self._make_dram_space(
-            n_bytes, queue, now
-        ):
-            self.stats.save_rejections += 1
-            if old is not None and old_tier is not None:
-                try:
-                    old_tier.admit(old)
-                except OutOfBlocksError:
-                    # The eviction cascade consumed the freed space; the
-                    # old item is genuinely unrecoverable.
-                    self.stats.evicted_out += 1
-                    return None
-                self._items[session_id] = old
-                self._total_item_bytes += old.n_bytes
-                if old_written:
-                    self._disk_written_tokens[session_id] = old_written
-            return None
-
+        # old item is only *removed* here (the session keeps its shared
+        # reference); it is restored if the replacement cannot be admitted.
+        old = self._items.get(session_id)
+        old_written = 0 if old is None else self._drop(old, release_ref=False)
         item = KVCacheItem(
             session_id=session_id,
             n_tokens=n_tokens,
-            n_bytes=n_bytes,
+            n_bytes=self.item_bytes(n_tokens),
             tier=Tier.DRAM,
             position_decoupled=position_decoupled,
-            created_at=now,
             last_access=now,
         )
-        self.dram_tier.admit(item)
-        self._items[session_id] = item
-        self._total_item_bytes += n_bytes
+        if item.n_bytes > self.dram_tier.capacity_bytes or not self._place(
+            item, self.dram_tier, queue, now
+        ):
+            self.stats.save_rejections += 1
+            if old is not None:
+                try:
+                    self._admit(old, self._tiers[old.tier], old_written)
+                except OutOfBlocksError:
+                    # Genuinely unrecoverable: the eviction cascade took
+                    # the freed space.
+                    self.stats.evicted_out += 1
+            return None
         if old_written:
             # Clamped so the delta-write-back invariant
             # ``disk_written_tokens <= n_tokens`` holds even if the
             # replacement shrank the item.
             self._disk_written_tokens[session_id] = min(old_written, n_tokens)
+        return self._saved(item, now)
+
+    def _saved(self, item: KVCacheItem, now: float) -> KVCacheItem:
+        """Count a save and draw its corruption/loss from the injector."""
         self.stats.saves += 1
-        self._inject_save_faults(item)
+        if self.faults is not None:
+            if self.faults.corrupts_save():
+                item.corrupt = True
+            if self.faults.loses_save():
+                item.lost = True
         if self.tracer is not None:
             self._trace_occupancy(now)
         return item
-
-    def _inject_save_faults(self, item: KVCacheItem) -> None:
-        """Draw save-time corruption/loss decisions from the injector."""
-        if self.faults is None:
-            return
-        if self.faults.corrupts_save():
-            item.corrupt = True
-        if self.faults.loses_save():
-            item.lost = True
 
     def save_to_hbm_cache(
         self,
@@ -433,51 +417,27 @@ class AttentionStore:
         """Retain a session's KV directly in the HBM cache tier (Figure 24's
         HBM-only/HBM+DRAM baselines).  When the HBM tier is full its
         least-recently-used items overflow into the rest of the hierarchy
-        via the normal save path (or are dropped if no lower tier exists).
+        via the normal save path (or are dropped if no lower tier exists);
+        so does a session the HBM tier cannot hold.
         """
         if self.hbm_tier.capacity_bytes == 0:
             return self.save(session_id, n_tokens, now, queue=queue)
         if session_id in self._items:
             self.drop(session_id)
-        n_bytes = self.item_bytes(n_tokens)
-        if n_bytes > self.hbm_tier.capacity_bytes:
-            return self._overflow_from_hbm(session_id, n_tokens, now, queue)
-        while not self.hbm_tier.can_fit(n_bytes):
-            victim = LRUPolicy().choose_victim(self.hbm_tier, _EMPTY_QUEUE)
-            if victim is None:
-                return self._overflow_from_hbm(session_id, n_tokens, now, queue)
-            self._overflow_from_hbm(victim.session_id, victim.n_tokens, now, queue)
         item = KVCacheItem(
             session_id=session_id,
             n_tokens=n_tokens,
-            n_bytes=n_bytes,
+            n_bytes=self.item_bytes(n_tokens),
             tier=Tier.HBM,
-            created_at=now,
             last_access=now,
         )
-        self.hbm_tier.admit(item)
-        self._items[session_id] = item
-        self._total_item_bytes += n_bytes
-        self.stats.saves += 1
-        self._inject_save_faults(item)
-        if self.tracer is not None:
-            self._trace_occupancy(now)
-        return item
-
-    def _overflow_from_hbm(
-        self,
-        session_id: int,
-        n_tokens: int,
-        now: float,
-        queue: QueueView = _EMPTY_QUEUE,
-    ) -> KVCacheItem | None:
-        """Demote an HBM-cached session to DRAM/disk (dropping it when no
-        lower tier is configured)."""
-        if session_id in self._items:
-            self.drop(session_id)
-        if self.dram_tier.capacity_bytes == 0:
-            return None
-        return self.save(session_id, n_tokens, now, queue=queue)
+        if item.n_bytes > self.hbm_tier.capacity_bytes or not self._place(
+            item, self.hbm_tier, queue, now
+        ):
+            if self.dram_tier.capacity_bytes == 0:
+                return None
+            return self.save(session_id, n_tokens, now, queue=queue)
+        return self._saved(item, now)
 
     def drop(self, session_id: int) -> None:
         """Remove a session's cache from the store entirely.
@@ -488,22 +448,9 @@ class AttentionStore:
         """
         if self._shared_ref:
             self._release_ref(session_id)
-        self._disk_written_tokens.pop(session_id, None)
-        item = self._items.pop(session_id, None)
-        if item is not None:
-            self._tier_of(item).remove(session_id)
-            self._total_item_bytes -= item.n_bytes
-            if session_id < 0:
-                self._unregister_shared(session_id)
-
-    def invalidate(self, session_id: int) -> None:
-        """Mark a session's cache unusable (OF baseline after truncation)."""
         item = self._items.get(session_id)
         if item is not None:
-            item.valid = False
-            self.stats.invalidated += 1
-            if self._plan_changes is not None:
-                self._plan_changes.append(session_id)
+            self._drop(item)
 
     def truncate(self, session_id: int, keep_tokens: int) -> bool:
         """Apply KV-cache truncation to a stored item (Section 3.4).
@@ -535,7 +482,7 @@ class AttentionStore:
                     # Fork: absorb the kept prefix tokens as a private copy.
                     new_bytes = self.item_bytes(target)
                     try:
-                        self._tier_of(item).resize(session_id, target, new_bytes)
+                        self._tiers[item.tier].resize(session_id, target, new_bytes)
                     except OutOfBlocksError:
                         self.drop(session_id)
                         return False
@@ -561,7 +508,7 @@ class AttentionStore:
             return True
         new_bytes = self.item_bytes(keep_tokens)
         self._total_item_bytes -= item.n_bytes - new_bytes
-        self._tier_of(item).resize(session_id, keep_tokens, new_bytes)
+        self._tiers[item.tier].resize(session_id, keep_tokens, new_bytes)
         if item.tier is Tier.DISK:
             self._disk_written_tokens[session_id] = keep_tokens
         else:
@@ -569,18 +516,6 @@ class AttentionStore:
             self._disk_written_tokens.pop(session_id, None)
         self.stats.truncations += 1
         return True
-
-    def apply_discard_list(self, session_id: int, n_discard_tokens: int) -> bool:
-        """Drop ``n_discard_tokens`` tokens chosen by a compression TDL
-        (token discarding list — the Section 3.4 compression hook)."""
-        item = self._items.get(session_id)
-        if item is None:
-            return False
-        if n_discard_tokens < 0:
-            raise ValueError(
-                f"n_discard_tokens must be >= 0, got {n_discard_tokens}"
-            )
-        return self.truncate(session_id, item.n_tokens - n_discard_tokens)
 
     # ------------------------------------------------------------------
     # Migration (cluster serving)
@@ -591,7 +526,7 @@ class AttentionStore:
         The returned item still records the tier it resided in, so the
         caller can model the transfer source (disk items must be staged
         through the SSD link first).  Items that could not be served anyway
-        (invalid, lost, corrupt) are dropped and None is returned —
+        (lost, corrupt) are dropped and None is returned —
         migrating them would only ship garbage across the network.
 
         A shared-prefix reference is released here even when no private
@@ -604,10 +539,9 @@ class AttentionStore:
         item = self._items.get(session_id)
         if item is None:
             return None
-        if not item.valid or item.lost or item.corrupt:
-            self.drop(session_id)
-            return None
         self.drop(session_id)
+        if item.lost or item.corrupt:
+            return None
         self.stats.migrations_out += 1
         self.stats.migrated_bytes_out += item.n_bytes
         return item
@@ -733,26 +667,21 @@ class AttentionStore:
             return True
         if n_tokens <= 0:
             raise ValueError(f"n_tokens must be positive, got {n_tokens}")
-        n_bytes = self.item_bytes(n_tokens)
-        if n_bytes > self.dram_tier.capacity_bytes or not self._make_dram_space(
-            n_bytes, queue, now
-        ):
-            self.stats.shared_register_failures += 1
-            return False
         pseudo_id = self._next_pseudo_id
-        self._next_pseudo_id -= 1
         item = KVCacheItem(
             session_id=pseudo_id,
             n_tokens=n_tokens,
-            n_bytes=n_bytes,
+            n_bytes=self.item_bytes(n_tokens),
             tier=Tier.DRAM,
             position_decoupled=True,
-            created_at=now,
             last_access=now,
         )
-        self.dram_tier.admit(item)
-        self._items[pseudo_id] = item
-        self._total_item_bytes += n_bytes
+        if item.n_bytes > self.dram_tier.capacity_bytes or not self._place(
+            item, self.dram_tier, queue, now
+        ):
+            self.stats.shared_register_failures += 1
+            return False
+        self._next_pseudo_id -= 1
         self._shared[content_hash] = SharedBlock(
             content_hash=content_hash, pseudo_id=pseudo_id, n_tokens=n_tokens
         )
@@ -778,7 +707,7 @@ class AttentionStore:
         item = self._items[block.pseudo_id]
         if item.expired(now, self.config.ttl_seconds) and block.refcount == 0:
             self.stats.expired += 1
-            self._drop_item(item)
+            self._drop(item)
             self.stats.shared_misses += 1
             return None
         item.touch(now)
@@ -877,63 +806,90 @@ class AttentionStore:
         return saved
 
     # ------------------------------------------------------------------
-    # Eviction
+    # Placement: one eviction planner, one applier
     # ------------------------------------------------------------------
-    def _sync_policy_window(self) -> None:
-        if isinstance(self.policy, SchedulerAwarePolicy):
-            self.policy.window_limit = self.eviction_window_limit()
+    def _victim_source(self, tier: StorageTier, queue: QueueView) -> VictimSource:
+        """The victim source of one eviction plan on ``tier``.  Below HBM
+        it exempts pinned sessions and referenced shared blocks (an HBM
+        victim stays in the store, overflowing to DRAM).  A DRAM plan's
+        exemption is fixed at its start and only its own victims leave the
+        tier, so excluding those taken lists the plan before any of it
+        runs.  A disk plan, applied as taken (see :meth:`_place`), reads
+        the exemption live: a drop can release a block's last reference.
+        """
+        if tier is self.hbm_tier:
+            return lambda taken: _HBM_POLICY.choose_victim(tier, _EMPTY_QUEUE, taken)
+        policy = self.policy
+        if tier is self.disk_tier:
+            return lambda taken: policy.choose_victim(tier, queue, self._exempt())
+        if isinstance(policy, SchedulerAwarePolicy):
+            policy.window_limit = self.eviction_window_limit()
+        exempt = self._exempt()
+        return lambda taken: policy.choose_victim(
+            tier, queue, exempt | taken if taken else exempt
+        )
 
-    def _eviction_exempt(self) -> AbstractSet[int]:
-        """Pinned sessions plus referenced shared blocks: referenced
-        blocks are exempt from eviction until their refcount drops to
-        zero."""
-        if self._shared_pinned:
-            return self._pinned | self._shared_pinned
-        return self._pinned
+    def _exempt(self) -> AbstractSet[int]:
+        shared = self._shared_pinned
+        return self._pinned | shared if shared else self._pinned
 
-    def _make_dram_space(self, n_bytes: int, queue: QueueView, now: float) -> bool:
-        """Evict DRAM items to disk until ``n_bytes`` fit (plus buffer)."""
-        dram = self.dram_tier
-        capacity = dram.capacity_bytes
-        target_free = n_bytes + int(self.config.dram_buffer_fraction * capacity)
-        if target_free > capacity:
-            target_free = capacity
-        if dram.free_bytes >= target_free:
-            # No eviction needed — skip the policy-window sync, which only
-            # feeds victim selection.  The common case: most saves fit.
-            return dram.can_fit(n_bytes)
-        exempt = self._eviction_exempt()
-        self._sync_policy_window()
-        guard = len(dram) + 1
-        while dram.free_bytes < target_free and guard > 0:
-            guard -= 1
-            victim = self.policy.choose_victim(dram, queue, exempt)
-            if victim is None:
-                break
-            if not self._demote_to_disk(victim, queue, now):
-                # No disk space obtainable either; drop the victim outright.
-                self._drop_item(victim)
-                self.stats.evicted_out += 1
-        return dram.can_fit(n_bytes)
+    def _place(
+        self, item: KVCacheItem, tier: StorageTier, queue: QueueView, now: float
+    ) -> bool:
+        """Make room for ``item`` in ``tier`` by one eviction plan, then
+        admit it there, moving it when it sits in another tier.  False, and
+        nothing admitted, when the plan leaves too little room; its victims
+        are evicted all the same.  A DRAM victim is demoted to disk (itself
+        a placement) or dropped, a disk victim is dropped, and an HBM
+        victim is saved to DRAM (dropped without one).  DRAM keeps
+        ``dram_buffer_fraction`` of its capacity free on top.
+        """
+        block = tier.block_bytes
+        need = item.n_bytes
+        if tier is self.dram_tier:
+            capacity = tier.capacity_bytes
+            buffer = int(self.config.dram_buffer_fraction * capacity)
+            need = min(need + buffer, capacity)
+        before = tier.free_blocks
+        want = -(-need // block)
+        victims: list[KVCacheItem] = []
+        if before < want:
+            plan = plan_evictions(before, want, block, self._victim_source(tier, queue))
+            check = self.victim_check
+            # A disk plan is applied as taken: the item each demotion adds
+            # joins the disk tier's LRU order, where the next plan may take it.
+            for victim in plan if tier is self.disk_tier else list(plan):
+                if check is not None:
+                    check(tier, victim)
+                victims.append(victim)
+                if tier is self.hbm_tier:
+                    self._drop(victim)
+                    if self.dram_tier.capacity_bytes:
+                        self.save(victim.session_id, victim.n_tokens, now, queue=queue)
+                elif tier is self.disk_tier or not self._demote_to_disk(
+                    victim, queue, now
+                ):
+                    self._drop(victim)
+                    self.stats.evicted_out += 1
+        admitted = tier.can_fit(item.n_bytes)
+        if admitted:
+            if self._items.get(item.session_id) is item:
+                self._tiers[item.tier].remove(item.session_id)
+                tier.admit(item)
+            else:
+                self._admit(item, tier)
+        if self.placement_check is not None:
+            self.placement_check(
+                tier, before, victims, -(-item.n_bytes // block) if admitted else 0
+            )
+        return admitted
 
     def _demote_to_disk(self, item: KVCacheItem, queue: QueueView, now: float) -> bool:
-        """Move one item DRAM -> disk, evicting from disk if needed."""
-        if self.disk_tier.capacity_bytes == 0:
+        """Move one DRAM item to disk, evicting from disk if needed."""
+        if self.disk_tier.capacity_bytes == 0 or not self._place(
+            item, self.disk_tier, queue, now
+        ):
             return False
-        guard = len(self.disk_tier) + 1
-        while not self.disk_tier.can_fit(item.n_bytes) and guard > 0:
-            guard -= 1
-            disk_victim = self.policy.choose_victim(
-                self.disk_tier, queue, self._eviction_exempt()
-            )
-            if disk_victim is None:
-                return False
-            self._drop_item(disk_victim)
-            self.stats.evicted_out += 1
-        if not self.disk_tier.can_fit(item.n_bytes):
-            return False
-        self.dram_tier.remove(item.session_id)
-        self.disk_tier.admit(item)
         # Writing the spilled KV occupies the SSD link; blocks already on
         # disk from an earlier spill of this session are skipped.
         already = self._disk_written_tokens.get(item.session_id, 0)
@@ -966,16 +922,33 @@ class AttentionStore:
             self._trace_occupancy(now)
         return True
 
-    def _drop_item(self, item: KVCacheItem) -> None:
+    def _admit(self, item: KVCacheItem, tier: StorageTier, written: int = 0) -> None:
+        """Put ``item`` on the store's books in ``tier``, with ``written``
+        of its tokens already on disk.
+
+        Raises:
+            OutOfBlocksError: if the tier lacks the blocks; nothing changes.
+        """
+        tier.admit(item)
+        self._items[item.session_id] = item
+        self._total_item_bytes += item.n_bytes
+        if written:
+            self._disk_written_tokens[item.session_id] = written
+
+    def _drop(self, item: KVCacheItem, release_ref: bool = True) -> int:
+        """Take ``item`` off the store's books and out of its tier; returns
+        how many of its tokens were written to disk.  A pseudo id's shared
+        block goes with it; ``release_ref`` also releases the session's
+        shared-prefix reference."""
         sid = item.session_id
-        if self._shared_ref:
+        if release_ref and self._shared_ref:
             self._release_ref(sid)
-        self._disk_written_tokens.pop(sid, None)
-        self._tier_of(item).remove(sid)
+        self._tiers[item.tier].remove(sid)
         del self._items[sid]
         self._total_item_bytes -= item.n_bytes
         if sid < 0:
             self._unregister_shared(sid)
+        return self._disk_written_tokens.pop(sid, 0)
 
     def _trace_occupancy(self, now: float) -> None:
         """Sample per-tier occupancy into the tracer (one "C" event)."""
@@ -1039,7 +1012,7 @@ class AttentionStore:
         items were lost."""
         victims = [item for item in self._items.values() if item.tier is tier]
         for item in victims:
-            self._drop_item(item)
+            self._drop(item)
         self.stats.lost_items += len(victims)
         return len(victims)
 
@@ -1064,34 +1037,23 @@ class AttentionStore:
         """
         # Capture hash links before the refs are torn down, so parked
         # items can be re-linked (or orphan-discarded) at restore.
-        parked_hash: dict[int, str] = {}
-        if self._shared_ref:
-            for sid, content_hash in self._shared_ref.items():
-                item = self._items.get(sid)
-                if item is not None and item.tier is Tier.DISK:
-                    parked_hash[sid] = content_hash
-            for sid in list(self._shared_ref):
-                self._release_ref(sid)
+        parked_hash = dict(self._shared_ref)
+        for sid in parked_hash:
+            self._release_ref(sid)
         volatile = [
             item for item in self._items.values() if item.tier is not Tier.DISK
         ]
         for item in volatile:
-            self._drop_item(item)
+            self._drop(item)
         self.stats.lost_items += len(volatile)
         parked = list(self.disk_tier.iter_fifo())
         for item in parked:
             sid = item.session_id
-            written = self._disk_written_tokens.pop(sid, 0)
-            self.disk_tier.remove(sid)
-            del self._items[sid]
-            self._total_item_bytes -= item.n_bytes
+            content_hash = (
+                self._pseudo_to_hash.get(sid) if sid < 0 else parked_hash.get(sid)
+            )
             item.fetch_in_flight = False
-            if sid < 0:
-                content_hash: str | None = self._pseudo_to_hash.get(sid)
-                self._unregister_shared(sid)
-            else:
-                content_hash = parked_hash.get(sid)
-            self._offline.append((item, written, content_hash))
+            self._offline.append((item, self._drop(item), content_hash))
         if self.tracer is not None:
             self._trace_occupancy(now)
         return len(volatile), len(parked)
@@ -1117,66 +1079,44 @@ class AttentionStore:
         re-linked; a private suffix whose parked prefix hash is no longer
         resident is discarded as an orphan.
         """
-        readmitted = discarded = 0
+        readmitted = 0
         parked, self._offline = self._offline, []
-
-        def _readmit(item: KVCacheItem, written: int) -> bool:
+        # Shared blocks (negative pseudo ids) first; the sort is stable.
+        for item, written, content_hash in sorted(
+            parked, key=lambda entry: entry[0].session_id >= 0
+        ):
+            sid = item.session_id
+            if sid < 0:
+                ok = content_hash not in self._shared
+            else:
+                # A fresh copy written since the crash is authoritative.
+                ok = (keep is None or keep(sid)) and sid not in self._items
+                if ok and content_hash is not None and content_hash not in self._shared:
+                    # Orphan: the suffix is unreadable without its prefix.
+                    self.stats.shared_orphan_discards += 1
+                    ok = False
+            if not ok:
+                continue
             try:
-                self.disk_tier.admit(item)
+                self._admit(item, self.disk_tier, written)
             except OutOfBlocksError:
                 # Should not happen (the wipe emptied the disk tier), but
                 # degrade to a discard rather than crash the restart.
-                return False
-            self._items[item.session_id] = item
-            self._total_item_bytes += item.n_bytes
-            if written:
-                self._disk_written_tokens[item.session_id] = written
+                continue
             item.touch(now)
-            return True
-
-        for item, written, content_hash in parked:
-            if item.session_id >= 0:
-                continue
-            assert content_hash is not None
-            if content_hash in self._shared or not _readmit(item, written):
-                self.stats.restart_discards += 1
-                discarded += 1
-                continue
-            self._shared[content_hash] = SharedBlock(
-                content_hash=content_hash,
-                pseudo_id=item.session_id,
-                n_tokens=item.n_tokens,
-            )
-            self._pseudo_to_hash[item.session_id] = content_hash
-            self.stats.restart_readmissions += 1
             readmitted += 1
-        for item, written, content_hash in parked:
-            if item.session_id < 0:
+            if content_hash is None:
                 continue
-            if keep is not None and not keep(item.session_id):
-                self.stats.restart_discards += 1
-                discarded += 1
-                continue
-            if item.session_id in self._items:
-                # A fresh copy was written since the crash; the live copy
-                # is authoritative and the parked one is stale.
-                self.stats.restart_discards += 1
-                discarded += 1
-                continue
-            if content_hash is not None and content_hash not in self._shared:
-                # Orphan: the suffix is unreadable without its prefix.
-                self.stats.shared_orphan_discards += 1
-                self.stats.restart_discards += 1
-                discarded += 1
-                continue
-            if not _readmit(item, written):
-                self.stats.restart_discards += 1
-                discarded += 1
-                continue
-            if content_hash is not None:
-                self.acquire_shared(content_hash, item.session_id)
-            self.stats.restart_readmissions += 1
-            readmitted += 1
+            if sid < 0:
+                self._shared[content_hash] = SharedBlock(
+                    content_hash=content_hash, pseudo_id=sid, n_tokens=item.n_tokens
+                )
+                self._pseudo_to_hash[sid] = content_hash
+            else:
+                self.acquire_shared(content_hash, sid)
+        discarded = len(parked) - readmitted
+        self.stats.restart_readmissions += readmitted
+        self.stats.restart_discards += discarded
         if parked and self.tracer is not None:
             self._trace_occupancy(now)
         return readmitted, discarded
@@ -1225,11 +1165,9 @@ class AttentionStore:
             # item being fetched (possible when the disk is full and the
             # demotion cascade reaches it).
             item.fetch_in_flight = True
-            if not self._make_dram_space(item.n_bytes, queue, now):
+            if not self._place(item, self.dram_tier, queue, now):
                 item.fetch_in_flight = False
                 continue
-            self.disk_tier.remove(session_id)
-            self.dram_tier.admit(item)
             done = self._ssd_transfer(now, item.n_bytes)
             if done is None:
                 # Fetch failed: put the item back on disk; a later demand
@@ -1276,7 +1214,7 @@ class AttentionStore:
             and item.session_id not in pinned
         ]
         for item in expired:
-            self._drop_item(item)
+            self._drop(item)
         self.stats.expired += len(expired)
         return len(expired)
 
@@ -1313,7 +1251,7 @@ class AttentionStore:
             assert item.session_id == session_id, (
                 f"item keyed {session_id} claims session {item.session_id}"
             )
-            home = self._tier_of(item)
+            home = self._tiers[item.tier]
             assert home.get(session_id) is item, (
                 f"session {session_id} not resident in recorded tier "
                 f"{item.tier.value}"

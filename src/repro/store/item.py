@@ -32,13 +32,11 @@ class KVCacheItem:
         position_decoupled: True if the KV was saved *before* positional
             encoding was applied (CachedAttention); False reproduces the OF
             baseline whose caches are invalidated by truncation.
-        valid: False once the cache can no longer be reused (embedded
-            positions + truncation).
         corrupt: set by fault injection at save time; discovered by
             checksum validation at the next lookup (``MISS_CORRUPT``).
         lost: set by fault injection at save time; the item silently
             vanished and the next lookup is a plain miss.
-        created_at / last_access: timestamps driving FIFO/LRU/TTL.
+        last_access: the timestamp TTL expiry counts from.
         dram_ready_at: if a fetch from disk is in flight, the simulated time
             at which the DRAM copy becomes usable.
     """
@@ -48,10 +46,8 @@ class KVCacheItem:
     n_bytes: int
     tier: Tier
     position_decoupled: bool = True
-    valid: bool = True
     corrupt: bool = False
     lost: bool = False
-    created_at: float = 0.0
     last_access: float = 0.0
     dram_ready_at: float = 0.0
     fetch_in_flight: bool = field(default=False)

@@ -1,8 +1,9 @@
 """Eviction policies for AttentionStore tiers.
 
 The paper compares its scheduler-aware policy (Section 3.3.2) against LRU
-and FIFO (Figure 21).  A policy picks one victim at a time; the store calls
-it repeatedly until enough space is free.
+and FIFO (Figure 21).  A policy picks one victim at a time;
+:func:`plan_evictions`, the store's one eviction planner, asks it
+repeatedly until enough blocks would be free.
 
 Tiers keep LRU and FIFO orderings incrementally, so LRU and FIFO take the
 first evictable item of their ordering.  The scheduler-aware policy reads
@@ -17,6 +18,7 @@ from abc import ABC, abstractmethod
 from itertools import filterfalse
 from typing import (
     AbstractSet,
+    Callable,
     Container,
     Iterable,
     Iterator,
@@ -217,3 +219,30 @@ class SchedulerAwarePolicy(EvictionPolicy):
             if not item.fetch_in_flight:
                 return item
         return None
+
+
+#: A victim source: the next victim of one tier, never one whose session
+#: id is in the given set, or None when no evictable item remains.
+VictimSource = Callable[[AbstractSet[int]], KVCacheItem | None]
+
+
+def plan_evictions(
+    free_blocks: int, want_blocks: int, block_bytes: int, choose: VictimSource
+) -> Iterator[KVCacheItem]:
+    """Yield a tier's eviction victims, one at a time, until ``want_blocks``
+    of its blocks would be free (§3.3.2 over §4.1's blocks).
+
+    ``free_blocks`` is the tier's free count now; each victim frees the
+    blocks it holds.  ``choose(taken)`` is the victim source, given the
+    session ids already yielded; the plan ends short when it returns None.
+    The planner itself only reads, so a caller may list a plan before
+    applying any of it, or apply each victim as it is yielded.
+    """
+    taken: set[int] = set()
+    while free_blocks < want_blocks:
+        victim = choose(taken)
+        if victim is None:
+            return
+        yield victim
+        taken.add(victim.session_id)
+        free_blocks += -(-victim.n_bytes // block_bytes)

@@ -14,9 +14,9 @@ own tail and thrash the SSD).  Exactly:
 * ``budget = int(max(0, C_dram - pinned DRAM bytes) * fraction)``, where
   the pinned bytes are the running sessions' DRAM bytes;
 * the window is the first ``max(1, int(budget / S_kv))`` waiting jobs;
-* every valid stored item is charged head-first, and the walk stops at
+* every stored item is charged head-first, and the walk stops at
   the first item that does not fit;
-* items on disk, valid and not in flight are fetched, in queue order.
+* items on disk and not in flight are fetched, in queue order.
 
 :func:`plan_prefetches` is that walk, written out; it is the reference
 the tests and SimSan compare against.  :class:`PrefetchPlanner` is what
@@ -76,7 +76,7 @@ def plan_prefetches(
             :class:`WindowEntry`, or None when nothing is stored.
         prefetch_budget_bytes: DRAM bytes the look-ahead window may occupy.
         avg_item_bytes: running average KV-item size ``S_kv``, used to bound
-            the number of queue entries examined (``L_pw = C_mem / S_kv``).
+            the number of queue entries examined (``budget / S_kv``).
 
     Returns:
         Fetches in queue order.  The walk stops when the byte budget is
@@ -115,12 +115,7 @@ _TRIM_AT = 1024
 
 
 def _fetchable(item: KVCacheItem | None) -> bool:
-    return (
-        item is not None
-        and item.valid
-        and item.tier is _DISK
-        and not item.fetch_in_flight
-    )
+    return item is not None and item.tier is _DISK and not item.fetch_in_flight
 
 
 class PrefetchPlanner:
@@ -131,7 +126,7 @@ class PrefetchPlanner:
     the byte budget read from the DRAM tier's pinned-byte counter:
 
     * ``_cum`` — prefix sums of the charged bytes in queue order (an
-      invalid or absent item charges 0; a repeated session charges only at
+      absent item charges 0; a repeated session charges only at
       its first occurrence).  The walk reaches the job at ``seq`` iff its
       position is inside the window and the charges up to and including it
       fit the budget, one subtraction and compare.
@@ -144,8 +139,8 @@ class PrefetchPlanner:
     the insertion order of the seq map.  A different view object triggers
     a full rebuild (that is how :class:`ListQueueView` is planned).  Tier
     changes reach the planner through :attr:`changes`, the session ids
-    the store's tiers admitted, removed or resized (plus invalidations)
-    since the last plan.
+    the store's tiers admitted, removed or resized since the last
+    plan.
     """
 
     __slots__ = (
@@ -270,7 +265,7 @@ class PrefetchPlanner:
         an earlier waiting session (``first`` False) charges nothing."""
         item = self._items.get(session_id)
         cum = self._cum
-        if first and item is not None and item.valid:
+        if first and item is not None:
             cum.append(cum[-1] + item.n_bytes)
             if item.tier is _DISK and not item.fetch_in_flight:
                 self._cands.append(self._next)
@@ -314,7 +309,7 @@ class PrefetchPlanner:
             seq = seqs[session_id]
             index = seq - base
             item = items.get(session_id)
-            if item is not None and item.valid:
+            if item is not None:
                 charge = item.n_bytes
                 if item.tier is _DISK and not item.fetch_in_flight:
                     at = bisect_left(cands, seq)
@@ -352,7 +347,7 @@ class PrefetchPlanner:
                 f"queue at seq {seqs.get(session_id)}"
             )
             item = items.get(session_id)
-            charge = item.n_bytes if first and item is not None and item.valid else 0
+            charge = item.n_bytes if first and item is not None else 0
             assert cum[index + 1] - cum[index] == charge, (
                 f"planner charges session {session_id} at queue seq {seq} "
                 f"{cum[index + 1] - cum[index]} bytes, the store holds {charge}"

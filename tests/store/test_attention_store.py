@@ -98,6 +98,21 @@ class TestRejectedReplaceKeepsOldItem:
         assert store.get(2).tier is Tier.DRAM
         store.check_invariants()
 
+    def test_rejected_replacement_can_lose_old_disk_item(self):
+        """The rejected save's evictions still run: demoting session 3
+        takes the disk slot session 1's old item left, so it is lost."""
+        store = make_store(dram_items=2, disk_items=1)
+        for sid in (1, 2, 3):  # session 1 spills to disk
+            store.save(sid, 10, now=float(sid))
+        assert store.get(1).tier is Tier.DISK
+        store.pin(2)
+        assert store.save(1, 20, now=4.0) is None
+        assert store.stats.save_rejections == 1
+        assert store.stats.evicted_out == 1
+        assert 1 not in store
+        assert store.get(3).tier is Tier.DISK
+        store.check_invariants()
+
     def test_rejected_replacement_preserves_disk_dirty_state(self):
         store = make_store(dram_items=2, disk_items=20)
         store.save(1, 10, now=0.0)
@@ -193,31 +208,6 @@ class TestTruncation:
     def test_truncate_missing_returns_false(self):
         assert not make_store().truncate(9, 5)
 
-    def test_apply_discard_list(self):
-        """The Section 3.4 compression hook drops TDL tokens."""
-        store = make_store()
-        store.save(1, 10, now=0.0)
-        assert store.apply_discard_list(1, 3)
-        assert store.get(1).n_tokens == 7
-
-    def test_apply_discard_list_validates(self):
-        store = make_store()
-        store.save(1, 10, now=0.0)
-        with pytest.raises(ValueError):
-            store.apply_discard_list(1, -1)
-
-
-class TestInvalidation:
-    def test_invalidate_makes_miss(self):
-        store = make_store()
-        store.save(1, 10, now=0.0)
-        store.invalidate(1)
-        assert store.lookup(1, 1.0).status is LookupStatus.MISS
-        assert 1 not in store  # dropped by the lookup
-
-    def test_invalidate_missing_is_noop(self):
-        make_store().invalidate(12)
-
 
 class TestTTL:
     def test_expired_item_misses(self):
@@ -296,12 +286,6 @@ class TestWindows:
         store.save(1, 10, now=0.0)
         capacity = store.dram_tier.capacity_bytes + store.disk_tier.capacity_bytes
         assert store.eviction_window_limit() == int(capacity / store.avg_item_bytes)
-
-    def test_prefetch_window_formula(self):
-        store = make_store()
-        store.save(1, 10, now=0.0)
-        expected = int(store.dram_tier.capacity_bytes / store.avg_item_bytes)
-        assert store.prefetch_window_limit() == expected
 
     def test_avg_item_bytes_default(self):
         store = make_store()

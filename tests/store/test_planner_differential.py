@@ -2,7 +2,7 @@
 
 Hypothesis drives a ``SchedulerQueue`` through interleaved pushes and
 pops while the store's items move between tiers (DRAM, disk, fetch in
-flight, invalidated, dropped, truncated, migrated out and back) under
+flight, dropped, truncated, migrated out and back) under
 random capacities, and sessions are pinned and unpinned as the engine
 pins running jobs.  The references take the test's own pinned set, which
 must always equal the store's.  After every queue change, as the engine
@@ -69,7 +69,7 @@ def reference_fetches(store, queue, pinned):
 
     def residency(sid):
         item = store.get(sid)
-        if item is None or not item.valid:
+        if item is None:
             return None
         return WindowEntry(
             item.n_bytes, item.tier is Tier.DISK and not item.fetch_in_flight
@@ -128,7 +128,6 @@ operation = st.one_of(
     st.tuples(st.just("pop"), st.just(0), st.booleans()),
     st.tuples(st.just("save"), session, st.integers(1, MAX_TOKENS)),
     st.tuples(st.just("truncate"), session, st.integers(0, MAX_TOKENS)),
-    st.tuples(st.just("invalidate"), session, st.just(0)),
     st.tuples(st.just("drop"), session, st.just(0)),
     st.tuples(st.just("pin"), session, st.just(0)),
     st.tuples(st.just("unpin"), session, st.just(0)),
@@ -186,8 +185,6 @@ class TestPlannerDifferential:
                 store.save(sid, arg, now, queue=queue)
             elif op == "truncate":
                 store.truncate(sid, arg)
-            elif op == "invalidate":
-                store.invalidate(sid)
             elif op == "drop":
                 store.drop(sid)
             elif op == "pin":
@@ -220,7 +217,6 @@ class TestPlannerDifferential:
         saves=st.lists(
             st.tuples(session, st.integers(1, MAX_TOKENS)), min_size=1, max_size=30
         ),
-        invalid=st.sets(session, max_size=3),
         waiting=st.lists(session, max_size=2 * N_SESSIONS),
         pinned=st.frozensets(session, max_size=4),
         dram_kb=st.integers(4, 40),
@@ -228,7 +224,7 @@ class TestPlannerDifferential:
         window_limit=st.one_of(st.none(), st.integers(0, 2 * N_SESSIONS)),
     )
     def test_list_view_with_repeats_matches_references(
-        self, saves, invalid, waiting, pinned, dram_kb, fraction, window_limit
+        self, saves, waiting, pinned, dram_kb, fraction, window_limit
     ):
         """A ``ListQueueView`` may repeat a session; it is planned (and its
         victims chosen) by its first occurrence."""
@@ -237,8 +233,6 @@ class TestPlannerDifferential:
             store.pin(sid)
         for now, (sid, tokens) in enumerate(saves):
             store.save(sid, tokens, float(now))
-        for sid in invalid:
-            store.invalidate(sid)
         queue = ListQueueView(waiting)
         policy = SchedulerAwarePolicy(window_limit=window_limit)
         for tier in (store.dram_tier, store.disk_tier):

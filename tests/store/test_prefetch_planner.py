@@ -49,7 +49,7 @@ def reference_fetches(store, queue, pinned):
 
     def residency(sid):
         item = store.get(sid)
-        if item is None or not item.valid:
+        if item is None:
             return None
         return WindowEntry(
             item.n_bytes, item.tier is Tier.DISK and not item.fetch_in_flight
@@ -159,9 +159,8 @@ class TestLifecycleEdges:
         self.store.save(4, 2 * ITEM_TOKENS, 12.0, queue=self.queue)
         self.plan(13.0)
 
-    def test_invalidated_and_truncated(self):
+    def test_truncated(self):
         self.plan(10.0)
-        self.store.invalidate(5)
         self.store.truncate(4, ITEM_TOKENS // 2)
         self.plan(11.0)
 

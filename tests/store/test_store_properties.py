@@ -54,7 +54,6 @@ operation = st.one_of(
     st.tuples(st.just("lookup"), st.integers(0, 15), st.just(0)),
     st.tuples(st.just("drop"), st.integers(0, 15), st.just(0)),
     st.tuples(st.just("truncate"), st.integers(0, 15), st.integers(0, 12)),
-    st.tuples(st.just("invalidate"), st.integers(0, 15), st.just(0)),
     st.tuples(st.just("prefetch"), st.integers(0, 15), st.just(0)),
     st.tuples(st.just("sweep"), st.just(0), st.just(0)),
 )
@@ -79,8 +78,6 @@ class TestStoreInvariants:
                 store.drop(sid)
             elif op == "truncate":
                 store.truncate(sid, arg)
-            elif op == "invalidate":
-                store.invalidate(sid)
             elif op == "prefetch":
                 issued = store.prefetch(ListQueueView([sid]), now)
                 for fetched_sid, _ in issued:
