@@ -80,35 +80,21 @@ class ClusterConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.n_instances <= 0:
-            raise ValueError(
-                f"n_instances must be positive, got {self.n_instances}"
-            )
-        if self.net_bandwidth <= 0:
-            raise ValueError(
-                f"net_bandwidth must be positive, got {self.net_bandwidth}"
-            )
-        if self.affinity_spill_tokens < 0:
-            raise ValueError(
-                "affinity_spill_tokens must be >= 0, got "
-                f"{self.affinity_spill_tokens}"
-            )
-        if self.failover_detection_s < 0:
-            raise ValueError(
-                "failover_detection_s must be >= 0, got "
-                f"{self.failover_detection_s}"
-            )
-        if self.failover_backoff_s <= 0:
-            raise ValueError(
-                "failover_backoff_s must be positive, got "
-                f"{self.failover_backoff_s}"
-            )
+        for name in (
+            "n_instances",
+            "net_bandwidth",
+            "failover_backoff_s",
+            "drain_poll_s",
+        ):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("affinity_spill_tokens", "failover_detection_s"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.failover_backoff_cap_s < self.failover_backoff_s:
             raise ValueError(
                 f"failover_backoff_cap_s ({self.failover_backoff_cap_s}) "
                 f"must be >= failover_backoff_s ({self.failover_backoff_s})"
-            )
-        if self.drain_poll_s <= 0:
-            raise ValueError(
-                f"drain_poll_s must be positive, got {self.drain_poll_s}"
             )

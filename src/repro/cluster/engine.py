@@ -34,7 +34,7 @@ from ..store.item import Tier
 from ..workload.trace import Conversation, Trace
 from .config import ClusterConfig, RouterName
 from .lifecycle import ReplicaLifecycle, ReplicaState
-from .router import NoRoutableReplica, make_router
+from .router import Action, NoRoutableReplica, Reason, Route, make_router, plan_route
 
 if TYPE_CHECKING:
     from ..obs.spans import SpanTracer
@@ -186,18 +186,14 @@ class ClusterEngine:
             )
         for engine in self.engines:
             engine.next_turn_hook = self._route_next_turn
+        # Replica health; the router only ever returns UP replicas.
+        self.lifecycles = [ReplicaLifecycle() for _ in range(n)]
         self.router = make_router(
             self.cluster.router,
             self.engines,
+            lambda index: self.lifecycles[index].routable,
             spill_tokens=self.cluster.affinity_spill_tokens,
         )
-        # Which replica served each session's previous turn — the
-        # affinity router's cache-placement oracle (KV lives in at most
-        # one store, and always the home replica's).
-        self._home: dict[int, int] = {}
-        # Replica health; the router only ever returns UP replicas.
-        self.lifecycles = [ReplicaLifecycle() for _ in range(n)]
-        self.router.routable = self._replica_routable
         # The shared inter-host link draws faults from its own
         # hash-seeded stream — it belongs to no single host.
         self.net_faults: FaultInjector | None = None
@@ -211,8 +207,6 @@ class ClusterEngine:
             )
             self.net.fault_hook = self.net_faults
         # Lifecycle counters (see ClusterResult for meanings).
-        self.crashes = 0
-        self.restarts = 0
         self.drains = 0
         self.lost_turns = 0
         self.failovers = 0
@@ -275,8 +269,8 @@ class ClusterEngine:
             scatter_drops=sum(s.scatter_drops for s in store_stats),
             net_bytes=self.net.bytes_moved,
             events_processed=self.sim.events_processed,
-            crashes=self.crashes,
-            restarts=self.restarts,
+            crashes=sum(life.crashes for life in self.lifecycles),
+            restarts=sum(life.restarts for life in self.lifecycles),
             drains=self.drains,
             lost_turns=self.lost_turns,
             failovers=self.failovers,
@@ -291,18 +285,21 @@ class ClusterEngine:
         )
 
     # ------------------------------------------------------------------
-    # Routing
+    # Routing: ask the router, let plan_route decide, apply the decision
     # ------------------------------------------------------------------
-    def _replica_routable(self, index: int) -> bool:
-        return self.lifecycles[index].routable
+    def _ask(self, session_id: int, home: int | None) -> int | None:
+        """The router's pick, or None when no replica is routable."""
+        try:
+            return self.router.route(session_id, home)
+        except NoRoutableReplica:
+            return None
 
-    def _retry_backoff(self, attempt: int) -> float:
-        """Backoff before routing retry ``attempt`` (1-based), capped."""
-        cfg = self.cluster
-        return min(
-            cfg.failover_backoff_cap_s,
-            cfg.failover_backoff_s * (2 ** (attempt - 1)),
-        )
+    def _owner(self, session_id: int) -> int:
+        """The replica holding live session ``session_id``."""
+        for index, engine in enumerate(self.engines):
+            if session_id in engine.sessions:
+                return index
+        raise KeyError(f"session {session_id} is not live on any replica")
 
     def _arrival_starter(self, conv: Conversation) -> Callable[[], None]:
         def start() -> None:
@@ -311,87 +308,74 @@ class ClusterEngine:
         return start
 
     def _start_arrival(self, conv: Conversation, attempt: int) -> None:
-        try:
-            index = self.router.route(conv.session_id, None)
-        except NoRoutableReplica:
-            # Every replica is down or draining; hold the arrival and
-            # retry with capped exponential backoff until one restarts.
+        answer = self._ask(conv.session_id, None)
+        route = plan_route(Reason.ARRIVAL, None, None, answer, attempt, self.cluster)
+        if route.action is Action.RETRY:
+            # Every replica is down or draining: retry until one is back.
             self.failover_retries += 1
             self.sim.after(
-                self._retry_backoff(attempt),
-                lambda: self._start_arrival(conv, attempt + 1),
+                route.delay, lambda: self._start_arrival(conv, attempt + 1)
             )
             return
-        self._home[conv.session_id] = index
-        self.engines[index].start_session(conv)
+        self.engines[route.target].start_session(conv)
 
     def _route_next_turn(self, source: ServingEngine, session: SessionState) -> None:
         """Route one returning session (installed as every replica's
         ``next_turn_hook``, firing when the user's think time elapses).
 
-        ``source`` served the previous turn, but the session may have
-        been re-homed since (a failover or drain while the user was
-        thinking), so routing always starts from the current owner.
+        The session may have been re-homed since ``source`` served its
+        previous turn (a failover or drain while the user was thinking),
+        so routing starts from its current owner.  A home that crashed
+        meanwhile is known to be down at once: the router is not asked.
         """
         session_id = session.session_id
-        home = self._home[session_id]
-        owner = self.engines[home]
-        if self.lifecycles[home].state is ReplicaState.DOWN:
-            # The home replica crashed while the user was thinking.  The
-            # router already knows (the crash handler marked it — no
-            # detection delay), so fail the session over immediately, or
-            # park the turn until restart when failover is disabled.
-            now = self.sim.now
-            if self.cluster.failover:
-                self._failover_turns([(session_id, now)], now, 1)
-            else:
-                self._parked.append((session_id, now))
-                self.parked_turns += 1
-            return
-        try:
-            target_index = self.router.route(session_id, home)
-        except NoRoutableReplica:
+        home = self._owner(session_id)
+        state = self.lifecycles[home].state
+        answer = None if state is ReplicaState.DOWN else self._ask(session_id, home)
+        route = plan_route(Reason.NEXT_TURN, state, home, answer, 1, self.cluster)
+        action = route.action
+        if action is Action.STAY or action is Action.REHOME:
+            self._rehome(route, session_id, home).submit_next_turn(session)
+        elif action is Action.RETRY:
             self.failover_retries += 1
             self.sim.after(
-                self.cluster.failover_backoff_s,
-                lambda: self._route_next_turn(source, session),
+                route.delay, lambda: self._route_next_turn(source, session)
             )
-            return
-        if target_index == home:
-            owner.submit_next_turn(session)
-            return
-        target = self.engines[target_index]
-        self._home[session_id] = target_index
+        elif action is Action.FAILOVER:
+            self._failover_turns([(session_id, self.sim.now)], self.sim.now, 1)
+        else:
+            self._parked.append((session_id, self.sim.now))
+            self.parked_turns += 1
+
+    def _rehome(self, route: Route, session_id: int, home: int) -> ServingEngine:
+        """Hand ``session_id`` from ``home`` to ``route.target`` with its
+        KV, or drop the stale copy; returns the serving replica."""
+        owner = self.engines[home]
+        if route.target == home:
+            return owner
+        target = self.engines[route.target]
         target.adopt_session(owner.release_session(session_id))
-        # A draining home must preserve the KV ("migrate, then stop"),
-        # even under routers that would normally scatter-drop it.
-        self._move_kv(
-            owner,
-            target,
-            session_id,
-            force=self.lifecycles[home].state is ReplicaState.DRAINING,
-        )
-        target.submit_next_turn(session)
+        self._move_kv(owner, target, session_id, route.migrate)
+        return target
 
     def _move_kv(
         self,
         source: ServingEngine,
         target: ServingEngine,
         session_id: int,
-        force: bool = False,
+        migrate: bool,
     ) -> None:
         """Reconcile KV placement after a session changed replicas.
 
-        Affinity spills migrate the cache over the inter-host link (disk
-        items are staged through the source SSD first); oblivious routers
-        drop the stale copy instead — a truncation on the new replica
-        would silently invalidate any remote leftover, so at most one
-        store may ever hold a session's KV.  ``force`` migrates under any
-        router: a draining replica's sessions take their KV with them.
+        With ``migrate`` the cache crosses the inter-host link (disk items
+        are staged through the source SSD first); otherwise the stale copy
+        is dropped — a truncation on the new replica would silently
+        invalidate any remote leftover, so at most one store may ever hold
+        a session's KV.
         """
         if source.store is None or target.store is None:
             return
-        if self.router.name is not RouterName.AFFINITY and not force:
+        if not migrate:
             source.store.discard_stale(session_id)
             return
         # A shared-prefix session migrates its *reference*: the suffix item
@@ -508,7 +492,6 @@ class ClusterEngine:
             return []  # already dead, or drained out of the cluster
         now = self.sim.now
         life.crash(now)
-        self.crashes += 1
         interrupted = self.engines[index].crash(now)
         self.lost_turns += len(interrupted)
         if self.tracer is not None:
@@ -544,15 +527,16 @@ class ClusterEngine:
         Turns that find no routable replica retry together, still in
         order, as one event after a capped exponential backoff.
         """
-        retry = [
-            turn
-            for turn in turns
-            if not self._failover_turn(*turn, orphaned_at, attempt)
-        ]
+        retry: list[tuple[int, float]] = []
+        delay = 0.0
+        for turn in turns:
+            route = self._failover_turn(*turn, orphaned_at, attempt)
+            if route.action is Action.RETRY:
+                retry.append(turn)
+                delay = route.delay
         if retry:
             self.sim.after(
-                self._retry_backoff(attempt),
-                lambda: self._failover_turns(retry, orphaned_at, attempt + 1),
+                delay, lambda: self._failover_turns(retry, orphaned_at, attempt + 1)
             )
 
     def _failover_turn(
@@ -561,34 +545,26 @@ class ClusterEngine:
         arrival_time: float,
         orphaned_at: float,
         attempt: int,
-    ) -> bool:
-        """Re-route one turn orphaned by a crash to a healthy replica.
+    ) -> Route:
+        """Re-route one turn orphaned by a crash; returns the decision (a
+        retry is counted here and rescheduled by :meth:`_failover_turns`).
 
-        Returns False, counting a retry, while no replica is routable
-        (:meth:`_failover_turns` retries it).  The resubmitted turn keeps
-        its original arrival time (recorded queueing delay spans the
-        outage) and carries the failover flag, so the new home recomputes
-        the history — the surviving SSD copy is unreachable until the dead
-        replica restarts, and exactly-one-copy forbids a second one.  If
-        the home replica restarts before any peer frees up, the turn is
-        served there normally against the re-admitted SSD copy.
+        The turn keeps its original arrival time, so its recorded queueing
+        delay spans the outage.  On a new home it recomputes the history
+        and the old home's copy is dropped, whether parked offline or
+        re-admitted by a restart (exactly one copy).  If the home restarts
+        before any peer frees up, the turn is served there normally
+        against the re-admitted SSD copy.
         """
-        home = self._home[session_id]
-        owner = self.engines[home]
-        session = owner.sessions[session_id]
-        try:
-            target_index = self.router.route(session_id, None)
-        except NoRoutableReplica:
+        home = self._owner(session_id)
+        state = self.lifecycles[home].state
+        answer = self._ask(session_id, None)
+        route = plan_route(Reason.FAILOVER, state, home, answer, attempt, self.cluster)
+        if route.action is Action.RETRY:
             self.failover_retries += 1
-            return False
-        target = self.engines[target_index]
-        failed_over = target_index != home
-        if failed_over:
-            self._home[session_id] = target_index
-            target.adopt_session(owner.release_session(session_id))
-            # No KV moves: the dead replica's store is empty (volatile
-            # wiped, SSD parked offline), and the restart-time
-            # re-admission drops this session's copy.
+            return route
+        session = self.engines[home].sessions[session_id]
+        if route.failover:
             self.failovers += 1
             if self.tracer is not None:
                 self.tracer.span(
@@ -601,39 +577,33 @@ class ClusterEngine:
                     args={
                         "session": session_id,
                         "from": home,
-                        "to": target_index,
+                        "to": route.target,
                         "retries": attempt - 1,
                     },
                 )
+        target = self._rehome(route, session_id, home)
         target.submit_next_turn(
-            session, failover=failed_over, arrival_time=arrival_time
+            session, failover=route.failover, arrival_time=arrival_time
         )
-        return True
+        return route
 
     def _restart_replica(self, crash: ReplicaCrash) -> None:
         """Bring a crashed replica back: re-admit its surviving SSD KV
-        (minus sessions that failed over meanwhile) and resubmit any
-        turns parked through the downtime."""
+        (sessions that failed over meanwhile dropped theirs) and resubmit
+        any turns parked through the downtime."""
         index = crash.replica
         life = self.lifecycles[index]
         if life.state is not ReplicaState.DOWN:
             return  # the matching crash was skipped
         now = self.sim.now
         life.restart(now)
-        self.restarts += 1
         engine = self.engines[index]
-        engine.restart(now, keep=lambda sid: self._home.get(sid) == index)
-        if not self._parked:
-            return
-        still_parked: list[tuple[int, float]] = []
+        engine.restart(now)
+        sessions = engine.sessions
         for session_id, arrival in self._parked:
-            if self._home.get(session_id) != index:
-                still_parked.append((session_id, arrival))
-                continue
-            engine.submit_next_turn(
-                engine.sessions[session_id], arrival_time=arrival
-            )
-        self._parked = still_parked
+            if session_id in sessions:
+                engine.submit_next_turn(sessions[session_id], arrival_time=arrival)
+        self._parked = [turn for turn in self._parked if turn[0] not in sessions]
 
     def _begin_drain(self, index: int) -> None:
         """Start a graceful drain: stop admitting, then migrate out."""
@@ -658,35 +628,27 @@ class ClusterEngine:
         engine = self.engines[index]
         busy = engine.active_sessions
         for session_id in sorted(engine.sessions):
-            session = engine.sessions[session_id]
-            if session.finished or session_id in busy:
+            if session_id in busy or engine.queue.position(session_id) is not None:
                 continue
-            if engine.queue.position(session_id) is not None:
-                continue
-            try:
-                target_index = self.router.route(session_id, None)
-            except NoRoutableReplica:
+            answer = self._ask(session_id, None)
+            route = plan_route(Reason.DRAIN, life.state, index, answer, 1, self.cluster)
+            if route.action is Action.END_PASS:
                 break  # no healthy peer right now; retry at the next poll
-            target = self.engines[target_index]
-            self._home[session_id] = target_index
-            target.adopt_session(engine.release_session(session_id))
-            self._move_kv(engine, target, session_id, force=True)
-        if any(not s.finished for s in engine.sessions.values()):
+            self._rehome(route, session_id, index)
+        if engine.sessions:
             self.sim.after(
                 self.cluster.drain_poll_s, lambda: self._drain_step(index)
             )
             return
         if engine.store is not None:
             engine.store.decommission()
-        now = self.sim.now
-        started = life.drain_started_at
-        life.finish_drain(now)
+        life.finish_drain()
         if self.tracer is not None:
             self.tracer.span(
                 "drain",
                 "cluster",
-                started if started is not None else now,
-                now,
+                life.drain_started_at or 0.0,
+                self.sim.now,
                 lane="lifecycle",
                 track="cluster",
                 args={"replica": index},

@@ -52,30 +52,17 @@ class ReplicaLifecycle:
         self.total_downtime = 0.0
         self.crashed_at: float | None = None
         self.drain_started_at: float | None = None
-        self.drain_finished_at: float | None = None
 
     @property
     def routable(self) -> bool:
         """Whether the router may send sessions here (UP only)."""
         return self.state is ReplicaState.UP
 
-    @property
-    def reachable(self) -> bool:
-        """Whether the replica's store can be read (UP or DRAINING)."""
-        return self.state in (ReplicaState.UP, ReplicaState.DRAINING)
-
-    @property
-    def mttr(self) -> float:
-        """Mean time to recovery over completed crash/restart cycles."""
-        return self.total_downtime / self.restarts if self.restarts else 0.0
-
     def crash(self, now: float) -> None:
         if self.state not in (ReplicaState.UP, ReplicaState.DRAINING):
             raise ValueError(f"cannot crash a {self.state.value} replica")
-        if self.state is ReplicaState.DRAINING:
-            # The crash pre-empts the drain; a later restart returns the
-            # replica to UP, not DRAINING.
-            self.drain_started_at = None
+        # A crash pre-empts a drain: the restart returns the replica to UP.
+        self.drain_started_at = None
         self.state = ReplicaState.DOWN
         self.crashed_at = now
         self.crashes += 1
@@ -95,10 +82,7 @@ class ReplicaLifecycle:
         self.state = ReplicaState.DRAINING
         self.drain_started_at = now
 
-    def finish_drain(self, now: float) -> None:
+    def finish_drain(self) -> None:
         if self.state is not ReplicaState.DRAINING:
-            raise ValueError(
-                f"cannot finish draining a {self.state.value} replica"
-            )
+            raise ValueError(f"cannot finish draining a {self.state.value} replica")
         self.state = ReplicaState.STOPPED
-        self.drain_finished_at = now

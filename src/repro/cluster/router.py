@@ -9,17 +9,25 @@ The interesting policy is :class:`AffinityRouter` — CachedAttention's KV
 caches make routing *stateful*: a session's history lives in exactly one
 replica's AttentionStore, so sending the session anywhere else forfeits
 the cache hit (or forces a migration over the inter-host network).
+
+What the cluster does with a router's answer is decided by one pure
+function, :func:`plan_route`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Sequence
+from enum import Enum
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .config import RouterName
+from .config import ClusterConfig, RouterName
+from .lifecycle import ReplicaState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.engine import ServingEngine
+
+#: Whether the router may pick a replica (the cluster passes "is it UP").
+Routable = Callable[[int], bool]
 
 
 class NoRoutableReplica(LookupError):
@@ -31,15 +39,12 @@ class Router(ABC):
 
     name: RouterName
 
-    def __init__(self, engines: "Sequence[ServingEngine]") -> None:
+    def __init__(self, engines: Sequence[ServingEngine], routable: Routable) -> None:
         if not engines:
             raise ValueError("a router needs at least one replica")
         self.engines = engines
-        # Cluster-installed availability predicate: replicas it rejects
-        # (down or draining) are never returned.  None = all routable,
-        # which keeps single-host and healthy-cluster routing decisions
-        # byte-identical to the predicate-free code path.
-        self.routable: Callable[[int], bool] | None = None
+        #: Replicas it rejects (down, draining or stopped) are never returned.
+        self.routable = routable
 
     @abstractmethod
     def route(self, session_id: int, home: int | None) -> int:
@@ -52,26 +57,17 @@ class Router(ABC):
             NoRoutableReplica: when no replica is currently routable.
         """
 
-    def _is_routable(self, index: int) -> bool:
-        return self.routable is None or self.routable(index)
-
     def least_loaded(self) -> int:
         """Index of the routable replica with the fewest queued + admitted
         tokens, lowest index winning ties (deterministic)."""
-        if self.routable is None:
-            loads = [engine.load_tokens for engine in self.engines]
-            return loads.index(min(loads))
-        best = -1
-        best_load = 0
-        for index, engine in enumerate(self.engines):
-            if not self.routable(index):
-                continue
-            load = engine.load_tokens
-            if best < 0 or load < best_load:
-                best, best_load = index, load
-        if best < 0:
+        loads = [
+            (engine.load_tokens, index)
+            for index, engine in enumerate(self.engines)
+            if self.routable(index)
+        ]
+        if not loads:
             raise NoRoutableReplica("no healthy replica to route to")
-        return best
+        return min(loads)[1]
 
 
 class RoundRobinRouter(Router):
@@ -84,15 +80,13 @@ class RoundRobinRouter(Router):
 
     name = RouterName.ROUND_ROBIN
 
-    def __init__(self, engines: "Sequence[ServingEngine]") -> None:
-        super().__init__(engines)
-        self._next = 0
+    _next = 0  #: the rotation's next replica
 
     def route(self, session_id: int, home: int | None) -> int:
         for _ in range(len(self.engines)):
             index = self._next
             self._next = (self._next + 1) % len(self.engines)
-            if self._is_routable(index):
+            if self.routable(index):
                 return index
         raise NoRoutableReplica("no healthy replica to route to")
 
@@ -122,37 +116,108 @@ class AffinityRouter(Router):
     name = RouterName.AFFINITY
 
     def __init__(
-        self, engines: "Sequence[ServingEngine]", spill_tokens: int = 16384
+        self,
+        engines: Sequence[ServingEngine],
+        routable: Routable,
+        spill_tokens: int = 16384,
     ) -> None:
-        super().__init__(engines)
+        super().__init__(engines, routable)
         if spill_tokens < 0:
             raise ValueError(f"spill_tokens must be >= 0, got {spill_tokens}")
         self.spill_tokens = spill_tokens
 
     def route(self, session_id: int, home: int | None) -> int:
-        if home is None or not self._is_routable(home):
+        target = self.least_loaded()
+        if home is None or not self.routable(home):
             # New session — or the home replica is down/draining, so
             # affinity is forfeit and the session lands wherever load is
             # lowest (its history recomputes or migrates there).
-            return self.least_loaded()
-        target = self.least_loaded()
-        home_load = self.engines[home].load_tokens
-        if home_load - self.engines[target].load_tokens > self.spill_tokens:
             return target
-        return home
+        imbalance = self.engines[home].load_tokens - self.engines[target].load_tokens
+        return target if imbalance > self.spill_tokens else home
 
 
 def make_router(
     name: RouterName,
-    engines: "Sequence[ServingEngine]",
+    engines: Sequence[ServingEngine],
+    routable: Routable,
     *,
     spill_tokens: int = 16384,
 ) -> Router:
     """Instantiate a router by configuration name."""
     if name is RouterName.ROUND_ROBIN:
-        return RoundRobinRouter(engines)
+        return RoundRobinRouter(engines, routable)
     if name is RouterName.LEAST_LOADED:
-        return LeastLoadedRouter(engines)
+        return LeastLoadedRouter(engines, routable)
     if name is RouterName.AFFINITY:
-        return AffinityRouter(engines, spill_tokens=spill_tokens)
+        return AffinityRouter(engines, routable, spill_tokens=spill_tokens)
     raise ValueError(f"unknown router {name!r}")
+
+
+# ----------------------------------------------------------------------
+# Routing decisions
+# ----------------------------------------------------------------------
+class Reason(Enum):
+    """Why the cluster routes a session."""
+
+    ARRIVAL = "arrival"
+    NEXT_TURN = "next turn"
+    FAILOVER = "failover"
+    DRAIN = "drain"
+
+
+class Action(Enum):
+    """What the cluster does with the session (see :func:`plan_route`)."""
+
+    START = "start"
+    STAY = "stay"
+    REHOME = "re-home"
+    FAILOVER = "failover"
+    PARK = "park"
+    RETRY = "retry"
+    END_PASS = "end pass"
+
+
+class Route(NamedTuple):
+    """One routing decision: ``target`` serves a start, stay or re-home;
+    a re-home moves the KV if ``migrate`` (else drops the old home's stale
+    copy) and recomputes the history if ``failover``; a retry waits
+    ``delay`` seconds."""
+
+    action: Action
+    target: int = -1
+    migrate: bool = False
+    failover: bool = False
+    delay: float = 0.0
+
+
+def plan_route(
+    reason: Reason,
+    state: ReplicaState | None,
+    home: int | None,
+    answer: int | None,
+    attempt: int,
+    config: ClusterConfig,
+) -> Route:
+    """Decide a session's routing from values alone (the table in
+    DESIGN.md §7).  ``home`` holds the session (None on arrival) and is in
+    ``state``; ``answer`` is the router's pick, None when no replica is
+    routable.  The router is not asked for a next turn whose home is DOWN.
+    """
+    if reason is Reason.NEXT_TURN and state is ReplicaState.DOWN:
+        return Route(Action.FAILOVER if config.failover else Action.PARK)
+    if answer is None:
+        if reason is Reason.DRAIN:
+            return Route(Action.END_PASS)
+        delay = config.failover_backoff_s
+        if reason is not Reason.NEXT_TURN:
+            delay = min(config.failover_backoff_cap_s, delay * 2 ** (attempt - 1))
+        return Route(Action.RETRY, delay=delay)
+    if reason is Reason.ARRIVAL:
+        return Route(Action.START, answer)
+    if answer == home:
+        return Route(Action.STAY, answer)
+    if reason is Reason.FAILOVER:
+        return Route(Action.REHOME, answer, failover=True)
+    migrate = state is ReplicaState.DRAINING or config.router is RouterName.AFFINITY
+    return Route(Action.REHOME, answer, migrate=migrate)

@@ -1013,21 +1013,16 @@ class ServingEngine:
         interrupted.sort(key=lambda r: (r.arrival_time, r.global_turn))
         return interrupted
 
-    def restart(
-        self, now: float, keep: Callable[[int], bool] | None = None
-    ) -> tuple[int, int]:
+    def restart(self, now: float) -> tuple[int, int]:
         """Bring a crashed replica back up, re-admitting surviving SSD KV.
 
-        ``keep`` filters which parked sessions' caches return (the cluster
-        rejects sessions that failed over during the downtime — their
-        authoritative copy lives at the new home now).  Re-arms the TTL
-        sweep under the post-crash epoch; tier-loss events were scheduled
-        at absolute times and need no re-arming.  Returns the
-        ``(readmitted, discarded)`` item counts.
+        Re-arms the TTL sweep under the post-crash epoch; tier-loss events
+        were scheduled at absolute times and need no re-arming.  Returns
+        the ``(readmitted, discarded)`` item counts.
         """
         readmitted = discarded = 0
         if self.store is not None:
-            readmitted, discarded = self.store.restore_offline(now, keep)
+            readmitted, discarded = self.store.restore_offline(now)
             if self.store.config.ttl_seconds is not None:
                 self._schedule_ttl_sweep()
         return readmitted, discarded

@@ -462,9 +462,9 @@ def install_cluster(cluster: ClusterEngine) -> SimSanitizer:
         source: ServingEngine,
         target: ServingEngine,
         session_id: int,
-        force: bool = False,
+        migrate: bool,
     ) -> None:
-        orig_move(source, target, session_id, force)
+        orig_move(source, target, session_id, migrate)
         check_exactly_one_copy(cluster.engines, session_id)
 
     cluster._move_kv = checked_move  # type: ignore[method-assign]

@@ -416,9 +416,9 @@ class AttentionStore:
     ) -> KVCacheItem | None:
         """Retain a session's KV directly in the HBM cache tier (Figure 24's
         HBM-only/HBM+DRAM baselines).  When the HBM tier is full its
-        least-recently-used items overflow into the rest of the hierarchy
-        via the normal save path (or are dropped if no lower tier exists);
-        so does a session the HBM tier cannot hold.
+        least-recently-used items move down to DRAM as they are (or are
+        dropped when DRAM cannot take them); a session the HBM tier cannot
+        hold is saved to DRAM instead.
         """
         if self.hbm_tier.capacity_bytes == 0:
             return self.save(session_id, n_tokens, now, queue=queue)
@@ -550,11 +550,12 @@ class AttentionStore:
         """Drop the local copy after the session was re-routed elsewhere.
 
         Part of the migration API (with :meth:`extract` /
-        :meth:`admit_migrated`): locality-oblivious routers call this on
-        the old replica so at most one store ever holds a session's KV —
-        a truncation on the new replica would silently invalidate any
-        remote leftover.  Returns True when a copy was actually dropped
-        (counted as a scatter drop).
+        :meth:`admit_migrated`): the cluster calls this on the old replica
+        when the KV does not move, so at most one store ever holds a
+        session's KV — a truncation on the new replica would silently
+        invalidate any remote leftover.  Returns True when a copy was
+        dropped: a resident one (a scatter drop) or one a crash parked
+        offline (a restart discard).
         """
         if session_id not in self._items:
             # No item, but a shared-prefix reference may still be held
@@ -562,7 +563,11 @@ class AttentionStore:
             # release it so the departed session cannot pin a block here.
             if self._shared_ref:
                 self._release_ref(session_id)
-            return False
+            parked = self._offline
+            self._offline = [e for e in parked if e[0].session_id != session_id]
+            dropped = len(parked) - len(self._offline)
+            self.stats.restart_discards += dropped
+            return dropped > 0
         self.drop(session_id)
         self.stats.scatter_drops += 1
         return True
@@ -841,7 +846,7 @@ class AttentionStore:
         nothing admitted, when the plan leaves too little room; its victims
         are evicted all the same.  A DRAM victim is demoted to disk (itself
         a placement) or dropped, a disk victim is dropped, and an HBM
-        victim is saved to DRAM (dropped without one).  DRAM keeps
+        victim moves to DRAM (itself a placement) or is dropped.  DRAM keeps
         ``dram_buffer_fraction`` of its capacity free on top.
         """
         block = tier.block_bytes
@@ -863,9 +868,12 @@ class AttentionStore:
                     check(tier, victim)
                 victims.append(victim)
                 if tier is self.hbm_tier:
-                    self._drop(victim)
-                    if self.dram_tier.capacity_bytes:
-                        self.save(victim.session_id, victim.n_tokens, now, queue=queue)
+                    # A move, not a save: flags and shared reference stay.
+                    dram = self.dram_tier
+                    if victim.n_bytes > dram.capacity_bytes or not self._place(
+                        victim, dram, queue, now
+                    ):
+                        self._drop(victim)
                 elif tier is self.disk_tier or not self._demote_to_disk(
                     victim, queue, now
                 ):
@@ -1024,7 +1032,7 @@ class AttentionStore:
         unreachable until the replica restarts, so they are *parked
         offline*: removed from the store's books entirely (lookups miss
         and :meth:`extract` returns None for the whole downtime) and held
-        on a side list for :meth:`restore_offline`.  Returns the
+        aside for :meth:`restore_offline`.  Returns the
         ``(lost, parked)`` item counts.
 
         Shared prefixes: every session reference dies with the crash (the
@@ -1058,23 +1066,20 @@ class AttentionStore:
             self._trace_occupancy(now)
         return len(volatile), len(parked)
 
-    def restore_offline(
-        self, now: float, keep: "Callable[[int], bool] | None" = None
-    ) -> tuple[int, int]:
+    def restore_offline(self, now: float) -> tuple[int, int]:
         """Re-admit the surviving SSD items parked by :meth:`wipe_volatile`.
 
-        Called at replica restart.  Items whose session ``keep`` rejects
-        (typically because the session failed over to a peer during the
-        downtime, making that peer's copy authoritative) are discarded so
-        the exactly-one-copy invariant holds across the restart.
-        Re-admitted items count TTL from the restart, not from their
-        pre-crash access.  Returns ``(readmitted, discarded)`` counts.
+        Called at replica restart; a session that failed over meanwhile
+        already dropped its parked copy (:meth:`discard_stale`), so
+        exactly one copy survives.  Re-admitted items count TTL from the
+        restart, not from their pre-crash access.  Returns ``(readmitted,
+        discarded)`` counts.
 
-        Shared blocks restore first (the ``keep`` predicate does not apply
-        to them: pseudo ids belong to no session, and the "exactly one
-        owning copy per content hash" invariant is per-store, so re-owning
-        here is always legal — unless a fresh copy of the same hash was
-        registered during the downtime, in which case the live copy wins).
+        Shared blocks restore first (pseudo ids belong to no session, and
+        the "exactly one owning copy per content hash" invariant is
+        per-store, so re-owning here is always legal — unless a fresh copy
+        of the same hash was registered during the downtime, in which case
+        the live copy wins).
         Private items restore second so a surviving prefix can be
         re-linked; a private suffix whose parked prefix hash is no longer
         resident is discarded as an orphan.
@@ -1090,7 +1095,7 @@ class AttentionStore:
                 ok = content_hash not in self._shared
             else:
                 # A fresh copy written since the crash is authoritative.
-                ok = (keep is None or keep(sid)) and sid not in self._items
+                ok = sid not in self._items
                 if ok and content_hash is not None and content_hash not in self._shared:
                     # Orphan: the suffix is unreadable without its prefix.
                     self.stats.shared_orphan_discards += 1

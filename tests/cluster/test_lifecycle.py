@@ -269,7 +269,6 @@ class TestDrain:
         assert result.drains == 1
         life = engine.lifecycles[0]
         assert life.state is ReplicaState.STOPPED
-        assert life.drain_finished_at is not None
         # "Migrate, then stop": nothing is left behind, and live sessions
         # took their KV with them over the cluster link.
         assert len(engine.engines[0].store) == 0
@@ -302,7 +301,6 @@ class TestDrain:
         # The crash cancelled the drain: the replica came back UP after
         # its downtime instead of reaching STOPPED.
         assert life.state is ReplicaState.UP
-        assert life.drain_finished_at is None
 
 
 class TestDeterminism:
@@ -342,25 +340,23 @@ class TestLifecycleTransitions:
     def test_initial_state(self):
         life = ReplicaLifecycle()
         assert life.state is ReplicaState.UP
-        assert life.routable and life.reachable
+        assert life.routable
 
     def test_crash_restart_accounting(self):
         life = ReplicaLifecycle()
         life.crash(10.0)
         assert life.state is ReplicaState.DOWN
-        assert not life.routable and not life.reachable
+        assert not life.routable
         life.restart(25.0)
         assert life.state is ReplicaState.UP
         assert life.total_downtime == 15.0
-        assert life.mttr == 15.0
 
-    def test_drain_is_reachable_but_not_routable(self):
+    def test_drain_is_not_routable(self):
         life = ReplicaLifecycle()
         life.begin_drain(5.0)
         assert life.state is ReplicaState.DRAINING
         assert not life.routable
-        assert life.reachable
-        life.finish_drain(9.0)
+        life.finish_drain()
         assert life.state is ReplicaState.STOPPED
 
     def test_illegal_transitions(self):

@@ -6,6 +6,7 @@ from repro.cluster import (
     AffinityRouter,
     ClusterConfig,
     LeastLoadedRouter,
+    NoRoutableReplica,
     Router,
     RouterName,
     RoundRobinRouter,
@@ -24,51 +25,72 @@ def engines(*loads):
     return [StubEngine(load) for load in loads]
 
 
+def all_up(index):
+    return True
+
+
 class TestRoundRobin:
     def test_strict_rotation(self):
-        router = RoundRobinRouter(engines(0, 0, 0))
+        router = RoundRobinRouter(engines(0, 0, 0), all_up)
         picks = [router.route(session_id=9, home=None) for _ in range(7)]
         assert picks == [0, 1, 2, 0, 1, 2, 0]
 
     def test_ignores_home_and_load(self):
-        router = RoundRobinRouter(engines(10_000, 0))
+        router = RoundRobinRouter(engines(10_000, 0), all_up)
         assert router.route(1, home=1) == 0
         assert router.route(1, home=1) == 1
 
 
 class TestLeastLoaded:
     def test_picks_minimum_load(self):
-        router = LeastLoadedRouter(engines(500, 20, 300))
+        router = LeastLoadedRouter(engines(500, 20, 300), all_up)
         assert router.route(1, home=0) == 1
 
     def test_ties_break_to_lowest_index(self):
-        router = LeastLoadedRouter(engines(50, 50, 50))
+        router = LeastLoadedRouter(engines(50, 50, 50), all_up)
         assert router.route(1, home=2) == 0
 
 
 class TestAffinity:
     def test_new_session_goes_least_loaded(self):
-        router = AffinityRouter(engines(100, 10, 200))
+        router = AffinityRouter(engines(100, 10, 200), all_up)
         assert router.route(1, home=None) == 1
 
     def test_returning_session_stays_home(self):
-        router = AffinityRouter(engines(100, 10, 200), spill_tokens=1000)
+        router = AffinityRouter(engines(100, 10, 200), all_up, spill_tokens=1000)
         assert router.route(1, home=2) == 2
 
     def test_spills_when_home_overloaded(self):
-        router = AffinityRouter(engines(5000, 10), spill_tokens=1000)
+        router = AffinityRouter(engines(5000, 10), all_up, spill_tokens=1000)
         assert router.route(1, home=0) == 1
 
     def test_spill_threshold_is_strict(self):
-        router = AffinityRouter(engines(1010, 10), spill_tokens=1000)
+        router = AffinityRouter(engines(1010, 10), all_up, spill_tokens=1000)
         # imbalance == threshold: stay home (locality wins ties)
         assert router.route(1, home=0) == 0
-        router = AffinityRouter(engines(1011, 10), spill_tokens=1000)
+        router = AffinityRouter(engines(1011, 10), all_up, spill_tokens=1000)
         assert router.route(1, home=0) == 1
 
     def test_rejects_negative_spill(self):
         with pytest.raises(ValueError):
-            AffinityRouter(engines(0), spill_tokens=-1)
+            AffinityRouter(engines(0), all_up, spill_tokens=-1)
+
+
+class TestRoutablePredicate:
+    @pytest.mark.parametrize(
+        "cls", [RoundRobinRouter, LeastLoadedRouter, AffinityRouter]
+    )
+    def test_skips_unroutable_replicas(self, cls):
+        router = cls(engines(0, 500, 900), lambda index: index != 0)
+        assert router.route(1, home=0) == 1
+
+    @pytest.mark.parametrize(
+        "cls", [RoundRobinRouter, LeastLoadedRouter, AffinityRouter]
+    )
+    def test_raises_when_none_routable(self, cls):
+        router = cls(engines(0, 0), lambda index: False)
+        with pytest.raises(NoRoutableReplica):
+            router.route(1, home=None)
 
 
 class TestMakeRouter:
@@ -81,18 +103,18 @@ class TestMakeRouter:
         ],
     )
     def test_builds_named_router(self, name, cls):
-        router = make_router(name, engines(0, 0))
+        router = make_router(name, engines(0, 0), all_up)
         assert isinstance(router, cls)
         assert isinstance(router, Router)
         assert router.name is name
 
     def test_spill_tokens_forwarded(self):
-        router = make_router(RouterName.AFFINITY, engines(0), spill_tokens=7)
+        router = make_router(RouterName.AFFINITY, engines(0), all_up, spill_tokens=7)
         assert router.spill_tokens == 7
 
     def test_empty_replica_list_rejected(self):
         with pytest.raises(ValueError):
-            make_router(RouterName.ROUND_ROBIN, [])
+            make_router(RouterName.ROUND_ROBIN, [], all_up)
 
 
 class TestClusterConfigValidation:

@@ -305,6 +305,29 @@ class TestHBMCacheTier:
         tiers = {store.get(1).tier, store.get(2).tier}
         assert Tier.HBM in tiers and Tier.DRAM in tiers
 
+    def test_hbm_overflow_moves_the_same_item(self):
+        store = make_store(dram_items=4, hbm_cache_bytes=10 * KB)
+        first = store.save_to_hbm_cache(1, 10, now=0.0)
+        first.corrupt = True
+        first.position_decoupled = False
+        store.save_to_hbm_cache(2, 10, now=1.0)
+        assert store.get(1) is first
+        assert first.tier is Tier.DRAM and not first.position_decoupled
+        assert store.lookup(1, 2.0).status is LookupStatus.MISS_CORRUPT
+        # The overflow is a move, not a save.
+        assert store.stats.saves == 2
+        store.check_invariants()
+
+    def test_hbm_overflow_keeps_the_shared_reference(self):
+        store = make_store(dram_items=4, hbm_cache_bytes=10 * KB)
+        assert store.register_shared("h", 10, now=0.0)
+        store.acquire_shared("h", 1)
+        store.save_to_hbm_cache(1, 10, now=0.0)
+        store.save_to_hbm_cache(2, 10, now=1.0)
+        assert store.get(1).tier is Tier.DRAM
+        assert store.shared_ref_of(1) == ("h", 10)
+        store.check_invariants()
+
     def test_hbm_only_drops_on_overflow(self):
         store = make_store(dram_items=0, disk_items=0, hbm_cache_bytes=10 * KB)
         store.save_to_hbm_cache(1, 10, now=0.0)

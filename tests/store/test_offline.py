@@ -4,8 +4,9 @@ decommission.
 A replica crash loses everything volatile (HBM + DRAM) but the SSD tier
 physically survives; the store parks the disk-resident items *offline* —
 invisible to lookups for the whole downtime — and re-admits them when the
-replica restarts, discarding any session whose authoritative copy moved
-to a peer in the meantime (exactly-one-copy across the restart).
+replica restarts.  A session that fails over to a peer in the meantime
+drops its parked copy at once (``discard_stale``), so exactly one copy
+survives the restart.
 """
 
 import pytest
@@ -77,11 +78,14 @@ class TestRestoreOffline:
         assert store.lookup(1, 11.0).status is LookupStatus.HIT_DISK
         store.check_invariants()
 
-    def test_keep_predicate_discards_failed_over_sessions(self):
+    def test_discard_stale_drops_parked_copy(self):
         store = store_with_disk_item()
         store.wipe_volatile(3.0)
-        readmitted, discarded = store.restore_offline(10.0, keep=lambda sid: False)
-        assert (readmitted, discarded) == (0, 1)
+        assert store.discard_stale(1)
+        assert store.stats.restart_discards == 1
+        assert store.stats.scatter_drops == 0
+        readmitted, discarded = store.restore_offline(10.0)
+        assert (readmitted, discarded) == (0, 0)
         assert store.stats.restart_discards == 1
         assert store.offline_items == 0
         assert len(store) == 0
