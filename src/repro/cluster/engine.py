@@ -378,21 +378,21 @@ class ClusterEngine:
         if not migrate:
             source.store.discard_stale(session_id)
             return
-        # A shared-prefix session migrates its *reference*: the suffix item
-        # moves, and the prefix travels with it only when the target does
-        # not already hold a block for the same content hash (the whole
-        # point of content addressing — the second migration is free).
-        shared = source.store.shared_ref_of(session_id)
+        # The session's segments move: its tail always, and the prefix it
+        # reads only when the target lacks a copy of the same content hash
+        # (the whole point of content addressing — the second migration is
+        # free).
+        prefix = source.store.prefix_of(session_id)
         item = source.store.extract(session_id)
         if item is None:
             return
         shared_hash: str | None = None
         shared_tokens = 0
         move_bytes = item.n_bytes
-        if shared is not None:
-            shared_hash, shared_tokens = shared
+        if prefix is not None and prefix.content_hash is not None:
+            shared_hash, shared_tokens = prefix.content_hash, prefix.n_tokens
             if not target.store.has_shared(shared_hash):
-                move_bytes += source.store.item_bytes(shared_tokens)
+                move_bytes += prefix.n_bytes
         now = self.sim.now
         link: Channel | ChannelPair = self.net
         if item.tier is Tier.DISK:

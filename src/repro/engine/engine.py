@@ -51,7 +51,7 @@ from ..store.attention_store import (
     StoreStats,
 )
 from ..store.item import Tier
-from ..store.sharing import SharedLookup, shared_prefix_hash
+from ..store.sharing import shared_prefix_hash
 from ..workload.trace import Conversation, Trace
 from .batching import ActiveJob, BatchState
 from .continuations import (
@@ -86,6 +86,10 @@ from .truncation import (
 
 if TYPE_CHECKING:
     from ..obs.spans import SpanTracer
+
+
+#: The lookup of a segment the turn does not read.
+_NOT_READ = LookupResult(LookupStatus.MISS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -617,10 +621,11 @@ class ServingEngine:
         now: float,
     ) -> tuple[TurnPlan, float]:
         """Run one turn's effects around its pure :func:`plan_turn`: the
-        truncation (a COW fork for a prefix session), the private then
-        shared lookup, the orphan-suffix drop, the loads (private first),
-        the shared reference, the stats counters.  Returns the plan as
-        run (its fallback if a load failed) and the KV load time."""
+        truncation (a COW fork for a prefix session), the lookups of the
+        session's segments (tail, then prefix), the orphan-tail drop, the
+        loads (tail first), the prefix reference, the stats counters.
+        Returns the plan as run (its fallback if a load failed) and the KV
+        load time."""
         store = self.store
         session_id = request.session_id
         history_before = session.history_tokens
@@ -634,24 +639,25 @@ class ServingEngine:
             session.shared_detached = True
         shared_hash = self._shared_hash_of(session)
         first_turn = request.turn_index == 0
-        private: LookupResult | None = None
-        shared: SharedLookup | None = None
+        tail = _NOT_READ
+        prefix: LookupResult | None = None
         if store is not None:
-            if not (first_turn or request.failover) and kept.history_tokens:
-                private = store.lookup(session_id, now)
-            # The prefix is read on turn 0 or behind a private lookup that
-            # found no corrupt item.
-            clean = (
-                private is not None and private.status is not LookupStatus.MISS_CORRUPT
-            )
-            if shared_hash is not None and (first_turn or clean):
-                shared = store.lookup_shared(shared_hash, now)
+            read_tail = not (first_turn or request.failover) and kept.history_tokens > 0
+            if read_tail:
+                tail = store.lookup(session_id, now)
+            if shared_hash is not None:
+                # The prefix is read on turn 0 or behind a tail lookup
+                # that found no corrupt item.
+                prefix = _NOT_READ
+                if first_turn or (
+                    read_tail and tail.status is not LookupStatus.MISS_CORRUPT
+                ):
+                    prefix = store.lookup_shared(shared_hash, now)
         plan = plan_turn(
             kept.history_tokens,
             kept.prompt_tokens,
-            private,
-            shared,
-            prefixed=shared_hash is not None,
+            tail,
+            prefix,
             first_turn=first_turn,
             failover=request.failover,
         )
@@ -659,7 +665,7 @@ class ServingEngine:
             window = self.model.context_window
             ratio = self.config.truncation_ratio
             check_turn_plan(plan, history_before, kept, first_turn, window, ratio)
-        if plan.drop_private:
+        if plan.drop_tail:
             assert store is not None
             store.drop(session_id)
         # Every part loads, even after another failed or with no tokens:

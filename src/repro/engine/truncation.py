@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..store.attention_store import LookupResult, LookupStatus
-from ..store.sharing import SharedLookup
 from .metrics import OUTCOME_OF_LOOKUP, TurnOutcome
 
 
@@ -87,20 +86,19 @@ def apply_context_window(
 
 class TurnPlan(NamedTuple):
     """One turn's KV reuse, decided by :func:`plan_turn`.  ``loads`` holds
-    ``(lookup, n_tokens)`` pairs, private item first, each read from the
-    tier its lookup reported; ``cold`` is the outcome had nothing been
-    reusable."""
+    ``(lookup, n_tokens)`` pairs, tail first, each read from the tier its
+    lookup reported; ``cold`` is the outcome had nothing been reusable."""
 
     outcome: TurnOutcome
     reused: int
     shared: int
     new: int
-    loads: tuple[tuple[LookupResult | SharedLookup, int], ...]
-    drop_private: bool
+    loads: tuple[tuple[LookupResult, int], ...]
+    drop_tail: bool
     cold: TurnOutcome
 
     def fallback(self) -> TurnPlan:
-        """The recompute plan after a load failed: a private hit degrades
+        """The recompute plan after a load failed: a tail hit degrades
         to ``FALLBACK_RECOMPUTE``, a shared-prefix-only hit to ``cold``."""
         outcome = (
             self.cold
@@ -108,52 +106,49 @@ class TurnPlan(NamedTuple):
             else TurnOutcome.FALLBACK_RECOMPUTE
         )
         prompt = self.reused + self.new
-        return TurnPlan(outcome, 0, 0, prompt, (), self.drop_private, self.cold)
+        return TurnPlan(outcome, 0, 0, prompt, (), self.drop_tail, self.cold)
 
 
 def plan_turn(
     history: int,
     prompt: int,
-    private: LookupResult | None,
-    shared: SharedLookup | None,
+    tail: LookupResult,
+    prefix: LookupResult | None,
     *,
-    prefixed: bool,
     first_turn: bool,
     failover: bool,
 ) -> TurnPlan:
     """Decide one turn's KV reuse from values alone (Sections 3.2-3.4).
 
     ``history`` and ``prompt`` are what :func:`apply_context_window` kept;
-    ``private`` and ``shared`` are the lookups of the session's item and
-    of its prefix block (None when not made, or a ``shared`` miss), and
-    ``prefixed`` says the session reads a shared prefix.  One rule covers
-    every reuse: of the ``available`` tokens (the prompt on turn 0, the
-    kept history after), ``reused = min(private + shared, available)``,
-    of which the prefix supplies ``min(shared, reused)``.  A private
-    suffix whose prefix block is gone is unreadable (KV reads
-    prefix-first), so it is dropped.
+    ``tail`` and ``prefix`` are the lookups of the session's segments: its
+    tail, and the shared prefix it reads (None for a session without one).
+    A lookup that was not made is a ``MISS``.  One rule covers every
+    reuse: of the ``available`` tokens (the prompt on turn 0, the kept
+    history after), ``reused = min(tail + prefix, available)``, of which
+    the prefix supplies ``min(prefix, reused)``.  A tail whose prefix is
+    gone is unreadable (KV reads prefix-first), so it is dropped.
     """
     available = prompt if first_turn else history
     cold = TurnOutcome.FIRST_TURN if first_turn else TurnOutcome.MISS
-    corrupt = private is not None and private.status is LookupStatus.MISS_CORRUPT
-    if corrupt or (failover and not first_turn):
+    if tail.status is LookupStatus.MISS_CORRUPT or (failover and not first_turn):
         # The KV died with a crashed replica, or failed its checksum and
         # was dropped: the history recomputes in full.
         cold = TurnOutcome.FALLBACK_RECOMPUTE
-    own = private if private is not None and private.hit else None
-    drop = own is not None and prefixed and shared is None
+    own = tail.hit
+    drop = own and prefix is not None and not prefix.hit
     if drop:
-        own = None
-    extra = shared.n_tokens if shared is not None else 0
-    reused = min((own.n_tokens if own is not None else 0) + extra, available)
+        own = False
+    extra = prefix.n_tokens if prefix is not None and prefix.hit else 0
+    reused = min((tail.n_tokens if own else 0) + extra, available)
     shared_hit = min(extra, reused)
-    loads: tuple[tuple[LookupResult | SharedLookup, int], ...] = ()
+    loads: tuple[tuple[LookupResult, int], ...] = ()
     outcome = TurnOutcome.HIT_SHARED if shared_hit else cold
-    if own is not None:
-        outcome = OUTCOME_OF_LOOKUP[own.status]
-        loads = ((own, reused - shared_hit),)
-    if shared is not None and shared_hit:
-        loads += ((shared, shared_hit),)
+    if own:
+        outcome = OUTCOME_OF_LOOKUP[tail.status]
+        loads = ((tail, reused - shared_hit),)
+    if prefix is not None and shared_hit:
+        loads += ((prefix, shared_hit),)
     return TurnPlan(outcome, reused, shared_hit, prompt - reused, loads, drop, cold)
 
 

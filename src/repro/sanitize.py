@@ -316,12 +316,12 @@ def check_victim(
 ) -> None:
     """Assert an eviction victim, as its plan takes it, sits in the plan's
     tier and is evictable: no fetch in flight and, below HBM, not pinned
-    and not a shared block some session references.  (An HBM victim stays
+    and not a shared prefix some session references.  (An HBM victim stays
     in the store: it overflows to DRAM, so the HBM plan exempts none.)"""
     sid = victim.session_id
     resident = tier.get(sid) is victim
     held = tier is not store.hbm_tier and (
-        sid in store.pinned_sessions or sid in store._shared_pinned
+        sid in store.pinned_sessions or victim.refcount > 0
     )
     if not resident or held or victim.fetch_in_flight:
         raise SimSanError(
@@ -386,11 +386,11 @@ def check_exactly_one_copy(
     With ``session_id`` given, only that session is checked (the cheap
     post-migration probe); otherwise all resident sessions are scanned.
 
-    Shared prefix blocks live under *negative* pseudo session ids and are
-    exempt: the invariant for them is exactly one owning copy per content
-    hash *per store* (enforced by ``AttentionStore.check_invariants``) —
-    two replicas legitimately hold blocks for the same hash, which is how
-    a re-migrated session avoids re-shipping its prefix.
+    Shared prefixes are items keyed by *negative* ids and are exempt:
+    the invariant for them is exactly one copy per content hash *per
+    store* (enforced by ``AttentionStore.check_invariants``) — two
+    replicas legitimately hold copies of the same prefix, which is how a
+    re-migrated session avoids re-shipping it.
     """
     seen: dict[int, int] = {}
     for index, engine in enumerate(engines):

@@ -18,7 +18,7 @@ from .policy import (
     SchedulerAwarePolicy,
 )
 from .prefetch import PrefetchDecision, plan_prefetches
-from .sharing import SharedBlock, SharedLookup, shared_prefix_hash
+from .sharing import shared_prefix_hash
 from .tier import OutOfBlocksError, StorageTier
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "PrefetchDecision",
     "QueueView",
     "SchedulerAwarePolicy",
-    "SharedBlock",
-    "SharedLookup",
     "StorageTier",
     "StoreStats",
     "Tier",

@@ -20,9 +20,11 @@ Responsibilities (Section 3 of the paper):
   exponential backoff, and a circuit breaker bypasses a sick SSD entirely
   (DRAM-only operation with recovery probes);
 * deduplicate *shared prefixes* across sessions (system prompts, few-shot
-  templates): content-addressed refcounted blocks stored under negative
-  pseudo session ids, pinned against eviction while referenced, forked
-  copy-on-write when a session's history diverges (see
+  templates) with one segment model: a session's tail and the prefix it
+  reads are items alike, placed, looked up and released by the same
+  steps; a prefix is keyed by a negative id, indexed by content hash,
+  exempt from eviction and TTL while referenced, and forked copy-on-write
+  into the tail when a session's history diverges (see
   :mod:`repro.store.sharing` and DESIGN.md §15).
 
 Transfer *timing* is modelled via the SSD channel passed in; the engine
@@ -50,7 +52,6 @@ from .policy import (
     plan_evictions,
 )
 from .prefetch import PrefetchPlanner
-from .sharing import SharedBlock, SharedLookup
 from .tier import OutOfBlocksError, StorageTier
 
 if TYPE_CHECKING:
@@ -148,6 +149,8 @@ _STATUS_BY_TIER = {
     Tier.DRAM: LookupStatus.HIT_DRAM,
     Tier.DISK: LookupStatus.HIT_DISK,
 }
+_MISS = LookupResult(LookupStatus.MISS)
+_MISS_CORRUPT = LookupResult(LookupStatus.MISS_CORRUPT)
 
 
 class AttentionStore:
@@ -221,19 +224,19 @@ class AttentionStore:
         # a prefetched session returns with one extra turn appended).
         self._disk_written_tokens: dict[int, int] = {}
         # SSD items parked by wipe_volatile() while the replica is down:
-        # (item, disk_written_tokens, shared prefix hash or None) triples,
-        # off the store's books until restore_offline() re-admits them.
+        # (item, disk_written_tokens, hash of the prefix a tail read or
+        # None) triples, off the store's books until restore_offline()
+        # re-admits them.
         self._offline: list[tuple[KVCacheItem, int, str | None]] = []
-        # Cross-session shared prefix blocks (content-addressed, COW).
-        # The KV bytes live in the normal tiers as items keyed by negative
-        # pseudo ids; these maps only hold identity and references.  All
-        # four stay empty unless the workload carries shared prefixes, so
-        # every hot-path guard below is a falsy check.
-        self._shared: dict[str, SharedBlock] = {}
-        self._pseudo_to_hash: dict[int, str] = {}
-        self._shared_ref: dict[int, str] = {}
-        self._shared_pinned: set[int] = set()
-        self._next_pseudo_id = -1
+        # Shared prefixes are items keyed by negative ids, handed out in
+        # registration order; each carries its content hash and refcount.
+        # ``_by_hash`` is the content index and ``_prefix_of`` maps a
+        # session to the prefix item it reads.  Both stay empty unless the
+        # workload carries shared prefixes, so every hot-path guard below
+        # is a falsy check.
+        self._by_hash: dict[str, KVCacheItem] = {}
+        self._prefix_of: dict[int, KVCacheItem] = {}
+        self._next_prefix_id = -1
         # Optional span tracer (repro.obs): installed from outside via
         # SpanTracer.attach_engine; pure observation of tier movement.
         self.tracer: "SpanTracer | None" = None
@@ -250,8 +253,8 @@ class AttentionStore:
 
     def resident_sessions(self) -> KeysView[int]:
         """Session ids with a cache resident in any tier (insertion order,
-        so iteration is deterministic).  Negative ids are shared prefix
-        blocks' pseudo sessions, not real conversations."""
+        so iteration is deterministic).  Negative ids key shared prefixes,
+        not conversations."""
         return self._items.keys()
 
     def get(self, session_id: int) -> KVCacheItem | None:
@@ -313,28 +316,32 @@ class AttentionStore:
         """
         item = self._items.get(session_id)
         if item is None:
-            return LookupResult(LookupStatus.MISS)
+            return _MISS
+        return self._serve(item, now)
+
+    def _serve(self, item: KVCacheItem, now: float) -> LookupResult:
+        """The serve step of both lookups: validate ``item``, expire it
+        (unless a session references it), or refresh it and report its
+        tier."""
         if item.lost:
             self.stats.lost_items += 1
-            self.drop(session_id)
-            return LookupResult(LookupStatus.MISS)
+            self.drop(item.session_id)
+            return _MISS
         if item.corrupt:
             self.stats.corrupt_misses += 1
-            self.drop(session_id)
-            return LookupResult(LookupStatus.MISS_CORRUPT)
-        if item.expired(now, self.config.ttl_seconds):
+            self.drop(item.session_id)
+            return _MISS_CORRUPT
+        if item.expired(now, self.config.ttl_seconds) and not item.refcount:
             self.stats.expired += 1
-            self.drop(session_id)
-            return LookupResult(LookupStatus.MISS)
+            self.drop(item.session_id)
+            return _MISS
         item.touch(now)
-        self._tiers[item.tier].touch(session_id)
-        status = _STATUS_BY_TIER[item.tier]
-        ready = item.dram_ready_at if item.tier is Tier.DRAM else 0.0
+        self._tiers[item.tier].touch(item.session_id)
         return LookupResult(
-            status=status,
+            status=_STATUS_BY_TIER[item.tier],
             n_tokens=item.n_tokens,
             n_bytes=item.n_bytes,
-            ready_at=ready,
+            ready_at=item.dram_ready_at if item.tier is Tier.DRAM else 0.0,
         )
 
     # ------------------------------------------------------------------
@@ -359,26 +366,35 @@ class AttentionStore:
         though, and the old item is lost (counted in ``evicted_out``) when
         they took the room it left, e.g. a demotion filled its disk slot.
         """
+        item = self._put_tail(session_id, n_tokens, now, queue, position_decoupled)
+        if item is None:
+            return None
+        self.stats.saves += 1
+        return self._stored(item, now)
+
+    def _put_tail(
+        self,
+        session_id: int,
+        n_tokens: int,
+        now: float,
+        queue: QueueView,
+        position_decoupled: bool,
+    ) -> KVCacheItem | None:
+        """Place a session's new tail in DRAM in place of its old one
+        (see :meth:`save`), counting a rejection."""
         if n_tokens <= 0:
             raise ValueError(f"n_tokens must be positive, got {n_tokens}")
         # Replacing a session's item extends it by one turn; KV blocks
         # already spilled to disk stay addressable for delta write-back
         # (lazy reclamation), so the dirty state survives the replace.  The
-        # old item is only *removed* here (the session keeps its shared
+        # old item is only *removed* here (the session keeps its prefix
         # reference); it is restored if the replacement cannot be admitted.
         old = self._items.get(session_id)
         old_written = 0 if old is None else self._drop(old, release_ref=False)
-        item = KVCacheItem(
-            session_id=session_id,
-            n_tokens=n_tokens,
-            n_bytes=self.item_bytes(n_tokens),
-            tier=Tier.DRAM,
-            position_decoupled=position_decoupled,
-            last_access=now,
+        item = self._build(
+            session_id, n_tokens, Tier.DRAM, now, queue, position_decoupled
         )
-        if item.n_bytes > self.dram_tier.capacity_bytes or not self._place(
-            item, self.dram_tier, queue, now
-        ):
+        if item is None:
             self.stats.save_rejections += 1
             if old is not None:
                 try:
@@ -393,11 +409,36 @@ class AttentionStore:
             # ``disk_written_tokens <= n_tokens`` holds even if the
             # replacement shrank the item.
             self._disk_written_tokens[session_id] = min(old_written, n_tokens)
-        return self._saved(item, now)
+        return item
 
-    def _saved(self, item: KVCacheItem, now: float) -> KVCacheItem:
-        """Count a save and draw its corruption/loss from the injector."""
-        self.stats.saves += 1
+    def _build(
+        self,
+        key: int,
+        n_tokens: int,
+        tier: Tier,
+        now: float,
+        queue: QueueView,
+        position_decoupled: bool = True,
+    ) -> KVCacheItem | None:
+        """Build the item of one segment, keyed ``key``, and place it in
+        ``tier``; None, and nothing admitted, when it does not fit."""
+        item = KVCacheItem(
+            session_id=key,
+            n_tokens=n_tokens,
+            n_bytes=self.item_bytes(n_tokens),
+            tier=tier,
+            position_decoupled=position_decoupled,
+            last_access=now,
+        )
+        home = self._tiers[tier]
+        if item.n_bytes > home.capacity_bytes or not self._place(
+            item, home, queue, now
+        ):
+            return None
+        return item
+
+    def _stored(self, item: KVCacheItem, now: float) -> KVCacheItem:
+        """Draw a stored tail's corruption/loss from the injector."""
         if self.faults is not None:
             if self.faults.corrupts_save():
                 item.corrupt = True
@@ -424,30 +465,21 @@ class AttentionStore:
             return self.save(session_id, n_tokens, now, queue=queue)
         if session_id in self._items:
             self.drop(session_id)
-        item = KVCacheItem(
-            session_id=session_id,
-            n_tokens=n_tokens,
-            n_bytes=self.item_bytes(n_tokens),
-            tier=Tier.HBM,
-            last_access=now,
-        )
-        if item.n_bytes > self.hbm_tier.capacity_bytes or not self._place(
-            item, self.hbm_tier, queue, now
-        ):
+        item = self._build(session_id, n_tokens, Tier.HBM, now, queue)
+        if item is None:
             if self.dram_tier.capacity_bytes == 0:
                 return None
             return self.save(session_id, n_tokens, now, queue=queue)
-        return self._saved(item, now)
+        self.stats.saves += 1
+        return self._stored(item, now)
 
     def drop(self, session_id: int) -> None:
-        """Remove a session's cache from the store entirely.
-
-        A shared-prefix reference held by the session is released (the
-        session can re-acquire it by content hash on its next turn); a
-        *pseudo* id drops the shared block itself.
+        """Retire a session from the store: release the prefix reference
+        it holds (it can re-acquire one by content hash on its next turn)
+        and drop its tail.  A negative id drops the shared prefix itself.
         """
-        if self._shared_ref:
-            self._release_ref(session_id)
+        if self._prefix_of:
+            self._release(session_id)
         item = self._items.get(session_id)
         if item is not None:
             self._drop(item)
@@ -463,23 +495,22 @@ class AttentionStore:
 
         Copy-on-write: a session referencing a shared prefix that
         truncates is a *writer diverging* from the prefix.  Its reference
-        is always released (readers keep the shared block untouched); any
-        still-kept prefix tokens are forked into the session's private
-        item, growing it in place.
+        is always released (readers keep the prefix untouched); any
+        still-kept prefix tokens are forked into the session's tail,
+        growing it in place.
         """
         item = self._items.get(session_id)
-        shared_hash = self._shared_ref.get(session_id) if self._shared_ref else None
-        if shared_hash is not None:
+        prefix = self._prefix_of.get(session_id) if self._prefix_of else None
+        if prefix is not None:
             # Divergence is unconditional: even a truncation that keeps
             # the whole prefix rewrites the session's token positions, so
             # the content hash no longer describes its history.
-            block = self._shared[shared_hash]
-            self._release_ref(session_id)
+            self._release(session_id)
             if item is not None and item.position_decoupled and keep_tokens > 0:
                 private = item.n_tokens
-                target = min(keep_tokens, block.n_tokens + private)
+                target = min(keep_tokens, prefix.n_tokens + private)
                 if target > private:
-                    # Fork: absorb the kept prefix tokens as a private copy.
+                    # Fork: absorb the kept prefix tokens into the tail.
                     new_bytes = self.item_bytes(target)
                     try:
                         self._tiers[item.tier].resize(session_id, target, new_bytes)
@@ -529,18 +560,14 @@ class AttentionStore:
         (lost, corrupt) are dropped and None is returned —
         migrating them would only ship garbage across the network.
 
-        A shared-prefix reference is released here even when no private
-        item exists: the departing session no longer reads this store.
-        The *block* stays — content addressing means the target re-links
-        by hash (``admit_migrated``) rather than shipping an owner record.
+        The session is retired here, so its prefix reference is released
+        even when it has no tail: it no longer reads this store.  The
+        prefix itself stays — the target re-links by content hash
+        (``admit_migrated``).
         """
-        if self._shared_ref:
-            self._release_ref(session_id)
         item = self._items.get(session_id)
-        if item is None:
-            return None
         self.drop(session_id)
-        if item.lost or item.corrupt:
+        if item is None or item.lost or item.corrupt:
             return None
         self.stats.migrations_out += 1
         self.stats.migrated_bytes_out += item.n_bytes
@@ -555,22 +582,19 @@ class AttentionStore:
         session's KV — a truncation on the new replica would silently
         invalidate any remote leftover.  Returns True when a copy was
         dropped: a resident one (a scatter drop) or one a crash parked
-        offline (a restart discard).
+        offline (a restart discard).  A prefix reference the session
+        holds here is released either way.
         """
-        if session_id not in self._items:
-            # No item, but a shared-prefix reference may still be held
-            # (e.g. acquired at prefill with the suffix not yet saved) —
-            # release it so the departed session cannot pin a block here.
-            if self._shared_ref:
-                self._release_ref(session_id)
-            parked = self._offline
-            self._offline = [e for e in parked if e[0].session_id != session_id]
-            dropped = len(parked) - len(self._offline)
-            self.stats.restart_discards += dropped
-            return dropped > 0
+        resident = session_id in self._items
         self.drop(session_id)
-        self.stats.scatter_drops += 1
-        return True
+        if resident:
+            self.stats.scatter_drops += 1
+            return True
+        parked = self._offline
+        self._offline = [e for e in parked if e[0].session_id != session_id]
+        dropped = len(parked) - len(self._offline)
+        self.stats.restart_discards += dropped
+        return dropped > 0
 
     def decommission(self) -> int:
         """Drop every resident item when the owning replica shuts down.
@@ -580,10 +604,10 @@ class AttentionStore:
         (finished sessions' KV no future turn will read).  Returns the
         number of items dropped.
         """
-        # Release every shared-prefix reference first so no block is
-        # dropped while references to it are still outstanding.
-        for sid in list(self._shared_ref):
-            self._release_ref(sid)
+        # Release every prefix reference first so no prefix is dropped
+        # while references to it are still outstanding.
+        for session_id in list(self._prefix_of):
+            self._release(session_id)
         sessions = list(self._items)
         for session_id in sessions:
             self.drop(session_id)
@@ -614,40 +638,33 @@ class AttentionStore:
         The item lands in DRAM but only becomes usable once the modelled
         inter-host transfer completes at ``ready_at`` — a DRAM hit before
         then waits, exactly like an in-flight prefetch.  Counted as a
-        migration, not a fresh save.
+        migration, not a save; it draws the save faults all the same.
 
-        When the migrating session referenced a shared prefix on the
-        source, ``shared_hash``/``shared_tokens`` re-link it here: an
-        already-resident block is re-used (the dedup bandwidth win — the
-        cluster skips the prefix bytes on the wire), otherwise the
-        shipped prefix is registered as this store's owning copy
-        (counted as a shared adoption).
+        When the migrating session read a shared prefix on the source,
+        ``shared_hash``/``shared_tokens`` re-link it here: a prefix
+        already resident is re-used (the cluster skips its bytes on the
+        wire), otherwise the shipped prefix is registered here (counted
+        as a shared adoption).
         """
-        item = self.save(
-            session_id,
-            n_tokens,
-            now,
-            queue=queue,
-            position_decoupled=position_decoupled,
-        )
-        if item is not None:
-            item.dram_ready_at = ready_at
-            self.stats.migrations_in += 1
-            self.stats.saves -= 1
-            if shared_hash is not None and shared_tokens > 0:
-                known = shared_hash in self._shared
-                if self.register_shared(shared_hash, shared_tokens, now, queue=queue):
-                    self.acquire_shared(shared_hash, session_id)
-                    if not known:
-                        self.stats.shared_adoptions += 1
-                        # The adopted prefix bytes ride the same modelled
-                        # inter-host transfer as the private suffix.
-                        block = self._shared[shared_hash]
-                        self._items[block.pseudo_id].dram_ready_at = ready_at
+        item = self._put_tail(session_id, n_tokens, now, queue, position_decoupled)
+        if item is None:
+            return None
+        self._stored(item, now)
+        item.dram_ready_at = ready_at
+        self.stats.migrations_in += 1
+        if shared_hash is not None and shared_tokens > 0:
+            known = shared_hash in self._by_hash
+            if self.register_shared(shared_hash, shared_tokens, now, queue=queue):
+                self.acquire_shared(shared_hash, session_id)
+                if not known:
+                    self.stats.shared_adoptions += 1
+                    # The adopted prefix rides the same modelled
+                    # inter-host transfer as the tail.
+                    self._by_hash[shared_hash].dram_ready_at = ready_at
         return item
 
     # ------------------------------------------------------------------
-    # Shared prefix blocks (content-addressed, copy-on-write)
+    # Shared prefixes (content-addressed, copy-on-write)
     # ------------------------------------------------------------------
     def register_shared(
         self,
@@ -656,171 +673,105 @@ class AttentionStore:
         now: float,
         queue: QueueView = _EMPTY_QUEUE,
     ) -> bool:
-        """Admit (or confirm) this store's owning copy of a shared prefix.
+        """Admit (or confirm) this store's copy of a shared prefix.
 
         Idempotent: a hash already registered returns True without any
         admission work, which is what makes the call safe on every save
-        of a prefix-bearing session.  A fresh registration stores the
-        prefix KV as an ordinary DRAM item under a negative pseudo id —
-        it competes for capacity with private items, can be demoted to
-        disk once unreferenced, and obeys every byte-conservation
-        invariant.  Returns False when DRAM space cannot be made (the
-        sessions simply keep recomputing their prefix — a capacity
-        signal, not an error).
+        of a prefix-bearing session.  A fresh registration places the
+        prefix in DRAM as an item keyed by the next negative id — it
+        competes for capacity with tails, can be demoted to disk once
+        unreferenced, and obeys every byte-conservation invariant.
+        Returns False when DRAM space cannot be made (the sessions simply
+        keep recomputing their prefix — a capacity signal, not an error).
         """
-        if content_hash in self._shared:
+        if content_hash in self._by_hash:
             return True
         if n_tokens <= 0:
             raise ValueError(f"n_tokens must be positive, got {n_tokens}")
-        pseudo_id = self._next_pseudo_id
-        item = KVCacheItem(
-            session_id=pseudo_id,
-            n_tokens=n_tokens,
-            n_bytes=self.item_bytes(n_tokens),
-            tier=Tier.DRAM,
-            position_decoupled=True,
-            last_access=now,
-        )
-        if item.n_bytes > self.dram_tier.capacity_bytes or not self._place(
-            item, self.dram_tier, queue, now
-        ):
+        item = self._build(self._next_prefix_id, n_tokens, Tier.DRAM, now, queue)
+        if item is None:
             self.stats.shared_register_failures += 1
             return False
-        self._next_pseudo_id -= 1
-        self._shared[content_hash] = SharedBlock(
-            content_hash=content_hash, pseudo_id=pseudo_id, n_tokens=n_tokens
-        )
-        self._pseudo_to_hash[pseudo_id] = content_hash
+        self._next_prefix_id -= 1
+        item.content_hash = content_hash
+        self._by_hash[content_hash] = item
         self.stats.shared_registered += 1
         if self.tracer is not None:
             self._trace_occupancy(now)
         return True
 
-    def lookup_shared(self, content_hash: str, now: float) -> SharedLookup | None:
-        """Probe for a shared prefix by content hash; None on miss.
-
-        A hit refreshes the block's LRU position and reports the tier it
-        resides in, so the engine prices the load exactly like a private
-        hit (DRAM waits for an in-flight transfer, disk pays the SSD
-        path).  An unreferenced block whose TTL lapsed is dropped here,
-        same as a private item.
-        """
-        block = self._shared.get(content_hash)
-        if block is None:
+    def lookup_shared(self, content_hash: str, now: float) -> LookupResult:
+        """Look a shared prefix up by content hash: the content index in
+        front of :meth:`lookup`'s serve step, so a hit is priced exactly
+        like a tail hit, and an unreferenced prefix whose TTL lapsed is
+        dropped and missed."""
+        item = self._by_hash.get(content_hash)
+        result = _MISS if item is None else self._serve(item, now)
+        if result.hit:
+            self.stats.shared_hits += 1
+        else:
             self.stats.shared_misses += 1
-            return None
-        item = self._items[block.pseudo_id]
-        if item.expired(now, self.config.ttl_seconds) and block.refcount == 0:
-            self.stats.expired += 1
-            self._drop(item)
-            self.stats.shared_misses += 1
-            return None
-        item.touch(now)
-        self._tiers[item.tier].touch(block.pseudo_id)
-        self.stats.shared_hits += 1
-        return SharedLookup(
-            status=_STATUS_BY_TIER[item.tier],
-            n_tokens=item.n_tokens,
-            n_bytes=item.n_bytes,
-            ready_at=item.dram_ready_at if item.tier is Tier.DRAM else 0.0,
-        )
+        return result
 
     def acquire_shared(self, content_hash: str, session_id: int) -> bool:
-        """Take (or keep) a session's reference on a shared block.
+        """Take (or keep) a session's reference on a shared prefix.
 
         Idempotent per (session, hash); a session switching hashes
         releases its previous reference first.  While any reference is
-        live the block is pinned: exempt from eviction and TTL.
+        live the prefix is exempt from eviction and TTL.
         """
-        block = self._shared.get(content_hash)
-        if block is None:
+        prefix = self._by_hash.get(content_hash)
+        if prefix is None:
             return False
-        prev = self._shared_ref.get(session_id)
-        if prev == content_hash:
+        held = self._prefix_of.get(session_id)
+        if held is prefix:
             return True
-        if prev is not None:
-            self._release_ref(session_id)
-        self._shared_ref[session_id] = content_hash
-        block.refcount += 1
-        self._shared_pinned.add(block.pseudo_id)
+        if held is not None:
+            self._release(session_id)
+        self._prefix_of[session_id] = prefix
+        prefix.refcount += 1
         self.stats.shared_acquires += 1
         return True
 
     def release_shared(self, session_id: int) -> bool:
-        """Drop a session's shared-prefix reference (True if one existed).
+        """Drop a session's prefix reference (True if one existed).
 
-        At refcount zero the block is *not* dropped — it stays resident
+        At refcount zero the prefix is *not* dropped — it stays resident
         and becomes an ordinary eviction/TTL victim, so a late-arriving
         session with the same prefix can still hit it.
         """
-        return self._release_ref(session_id)
+        return self._release(session_id)
 
-    def _release_ref(self, session_id: int) -> bool:
-        content_hash = self._shared_ref.pop(session_id, None)
-        if content_hash is None:
+    def _release(self, session_id: int) -> bool:
+        """The one release of a session's prefix reference."""
+        prefix = self._prefix_of.pop(session_id, None)
+        if prefix is None:
             return False
-        block = self._shared.get(content_hash)
-        if block is not None:
-            block.refcount -= 1
-            if block.refcount <= 0:
-                self._shared_pinned.discard(block.pseudo_id)
+        prefix.refcount -= 1
         self.stats.shared_releases += 1
         return True
 
-    def _unregister_shared(self, pseudo_id: int) -> None:
-        """Forget a shared block whose pseudo item left the store."""
-        content_hash = self._pseudo_to_hash.pop(pseudo_id, None)
-        if content_hash is not None:
-            del self._shared[content_hash]
-            self._shared_pinned.discard(pseudo_id)
-            # Pinning keeps referenced blocks out of eviction, but an
-            # explicit drop of the pseudo id must not strand references
-            # to the departed hash (sessions re-register on next save).
-            for sid in [
-                s for s, h in self._shared_ref.items() if h == content_hash
-            ]:
-                del self._shared_ref[sid]
-                self.stats.shared_releases += 1
-
     def has_shared(self, content_hash: str) -> bool:
-        """Whether this store holds an owning copy of ``content_hash``
+        """Whether this store holds a copy of the prefix ``content_hash``
         (migration API: lets the cluster skip prefix bytes on the wire)."""
-        return content_hash in self._shared
+        return content_hash in self._by_hash
 
-    def shared_ref_of(self, session_id: int) -> tuple[str, int] | None:
-        """The ``(content_hash, prefix_tokens)`` a session references, or
-        None (migration API: consulted before extracting a session)."""
-        content_hash = self._shared_ref.get(session_id)
-        if content_hash is None:
-            return None
-        return content_hash, self._shared[content_hash].n_tokens
-
-    @property
-    def shared_block_count(self) -> int:
-        """Number of registered shared prefix blocks."""
-        return len(self._shared)
-
-    @property
-    def shared_dedup_bytes(self) -> int:
-        """Bytes saved by deduplication: what the referencing sessions
-        would collectively store privately, minus the one shared copy."""
-        saved = 0
-        for block in self._shared.values():
-            if block.refcount > 1:
-                saved += (block.refcount - 1) * self.item_bytes(block.n_tokens)
-        return saved
+    def prefix_of(self, session_id: int) -> KVCacheItem | None:
+        """The shared prefix item a session reads, or None (migration API:
+        consulted before extracting a session)."""
+        return self._prefix_of.get(session_id)
 
     # ------------------------------------------------------------------
     # Placement: one eviction planner, one applier
     # ------------------------------------------------------------------
     def _victim_source(self, tier: StorageTier, queue: QueueView) -> VictimSource:
         """The victim source of one eviction plan on ``tier``.  Below HBM
-        it exempts pinned sessions and referenced shared blocks (an HBM
+        it exempts pinned sessions and referenced shared prefixes (an HBM
         victim stays in the store, overflowing to DRAM).  A DRAM plan's
         exemption is fixed at its start and only its own victims leave the
         tier, so excluding those taken lists the plan before any of it
         runs.  A disk plan, applied as taken (see :meth:`_place`), reads
-        the exemption live: a drop can release a block's last reference.
+        the exemption live: a drop can release a prefix's last reference.
         """
         if tier is self.hbm_tier:
             return lambda taken: _HBM_POLICY.choose_victim(tier, _EMPTY_QUEUE, taken)
@@ -835,8 +786,10 @@ class AttentionStore:
         )
 
     def _exempt(self) -> AbstractSet[int]:
-        shared = self._shared_pinned
-        return self._pinned | shared if shared else self._pinned
+        if not self._by_hash:
+            return self._pinned
+        held = {item.session_id for item in self._by_hash.values() if item.refcount}
+        return self._pinned | held if held else self._pinned
 
     def _place(
         self, item: KVCacheItem, tier: StorageTier, queue: QueueView, now: float
@@ -868,7 +821,7 @@ class AttentionStore:
                     check(tier, victim)
                 victims.append(victim)
                 if tier is self.hbm_tier:
-                    # A move, not a save: flags and shared reference stay.
+                    # A move, not a save: flags and prefix reference stay.
                     dram = self.dram_tier
                     if victim.n_bytes > dram.capacity_bytes or not self._place(
                         victim, dram, queue, now
@@ -945,17 +898,21 @@ class AttentionStore:
 
     def _drop(self, item: KVCacheItem, release_ref: bool = True) -> int:
         """Take ``item`` off the store's books and out of its tier; returns
-        how many of its tokens were written to disk.  A pseudo id's shared
-        block goes with it; ``release_ref`` also releases the session's
-        shared-prefix reference."""
+        how many of its tokens were written to disk.  A tail's session
+        releases its prefix reference (unless ``release_ref`` is False); a
+        prefix leaves the content index, and every session reading it
+        releases its reference (they re-register on their next save)."""
         sid = item.session_id
-        if release_ref and self._shared_ref:
-            self._release_ref(sid)
+        if self._by_hash:
+            if item.content_hash is not None:
+                del self._by_hash[item.content_hash]
+                for reader in [s for s, p in self._prefix_of.items() if p is item]:
+                    self._release(reader)
+            elif release_ref:
+                self._release(sid)
         self._tiers[item.tier].remove(sid)
         del self._items[sid]
         self._total_item_bytes -= item.n_bytes
-        if sid < 0:
-            self._unregister_shared(sid)
         return self._disk_written_tokens.pop(sid, 0)
 
     def _trace_occupancy(self, now: float) -> None:
@@ -1037,17 +994,18 @@ class AttentionStore:
 
         Shared prefixes: every session reference dies with the crash (the
         sessions fail over and re-link by content hash wherever they land).
-        DRAM-resident shared blocks are lost like any volatile item;
-        disk-resident ones park offline carrying their content hash, as do
-        private items of referencing sessions — at restore, a private
-        suffix whose prefix block did not survive is useless and is
-        discarded (KV is only readable prefix-first).
+        DRAM-resident prefixes are lost like any volatile item; a
+        disk-resident one parks offline with its content hash, and a
+        parked tail with the hash of the prefix it read — at restore, a
+        tail whose prefix did not survive is useless and is discarded (KV
+        is only readable prefix-first).
         """
-        # Capture hash links before the refs are torn down, so parked
-        # items can be re-linked (or orphan-discarded) at restore.
-        parked_hash = dict(self._shared_ref)
+        # Capture the prefix each session reads before the references are
+        # released, so parked tails can be re-linked (or orphan-discarded)
+        # at restore.
+        parked_hash = {sid: p.content_hash for sid, p in self._prefix_of.items()}
         for sid in parked_hash:
-            self._release_ref(sid)
+            self._release(sid)
         volatile = [
             item for item in self._items.values() if item.tier is not Tier.DISK
         ]
@@ -1056,12 +1014,9 @@ class AttentionStore:
         self.stats.lost_items += len(volatile)
         parked = list(self.disk_tier.iter_fifo())
         for item in parked:
-            sid = item.session_id
-            content_hash = (
-                self._pseudo_to_hash.get(sid) if sid < 0 else parked_hash.get(sid)
-            )
             item.fetch_in_flight = False
-            self._offline.append((item, self._drop(item), content_hash))
+            read = parked_hash.get(item.session_id)
+            self._offline.append((item, self._drop(item), read))
         if self.tracer is not None:
             self._trace_occupancy(now)
         return len(volatile), len(parked)
@@ -1075,29 +1030,27 @@ class AttentionStore:
         restart, not from their pre-crash access.  Returns ``(readmitted,
         discarded)`` counts.
 
-        Shared blocks restore first (pseudo ids belong to no session, and
-        the "exactly one owning copy per content hash" invariant is
-        per-store, so re-owning here is always legal — unless a fresh copy
-        of the same hash was registered during the downtime, in which case
-        the live copy wins).
-        Private items restore second so a surviving prefix can be
-        re-linked; a private suffix whose parked prefix hash is no longer
-        resident is discarded as an orphan.
+        Shared prefixes restore first (the "exactly one copy per content
+        hash" invariant is per store, so re-indexing here is always legal
+        — unless a fresh copy of the same hash was registered during the
+        downtime, in which case the live copy wins).  Tails restore second
+        so a surviving prefix can be re-linked; a tail whose prefix is no
+        longer resident is discarded as an orphan.
         """
         readmitted = 0
         parked, self._offline = self._offline, []
-        # Shared blocks (negative pseudo ids) first; the sort is stable.
-        for item, written, content_hash in sorted(
-            parked, key=lambda entry: entry[0].session_id >= 0
+        # Prefixes first; the sort is stable.
+        for item, written, read in sorted(
+            parked, key=lambda entry: entry[0].content_hash is None
         ):
             sid = item.session_id
-            if sid < 0:
-                ok = content_hash not in self._shared
+            if item.content_hash is not None:
+                ok = item.content_hash not in self._by_hash
             else:
                 # A fresh copy written since the crash is authoritative.
                 ok = sid not in self._items
-                if ok and content_hash is not None and content_hash not in self._shared:
-                    # Orphan: the suffix is unreadable without its prefix.
+                if ok and read is not None and read not in self._by_hash:
+                    # Orphan: the tail is unreadable without its prefix.
                     self.stats.shared_orphan_discards += 1
                     ok = False
             if not ok:
@@ -1110,15 +1063,10 @@ class AttentionStore:
                 continue
             item.touch(now)
             readmitted += 1
-            if content_hash is None:
-                continue
-            if sid < 0:
-                self._shared[content_hash] = SharedBlock(
-                    content_hash=content_hash, pseudo_id=sid, n_tokens=item.n_tokens
-                )
-                self._pseudo_to_hash[sid] = content_hash
-            else:
-                self.acquire_shared(content_hash, sid)
+            if item.content_hash is not None:
+                self._by_hash[item.content_hash] = item
+            elif read is not None:
+                self.acquire_shared(read, sid)
         discarded = len(parked) - readmitted
         self.stats.restart_readmissions += readmitted
         self.stats.restart_discards += discarded
@@ -1209,14 +1157,14 @@ class AttentionStore:
     # TTL
     # ------------------------------------------------------------------
     def sweep_expired(self, now: float) -> int:
-        """Drop all items whose TTL has lapsed; return how many."""
-        pinned = self._shared_pinned
+        """Drop all items whose TTL has lapsed, but for referenced shared
+        prefixes; return how many."""
         expired = [
             item
             for item in self._items.values()
             if item.expired(now, self.config.ttl_seconds)
             and not item.fetch_in_flight
-            and item.session_id not in pinned
+            and not item.refcount
         ]
         for item in expired:
             self._drop(item)
@@ -1241,11 +1189,10 @@ class AttentionStore:
           pinned sessions, recounted;
         * delta-write-back state refers only to stored sessions and never
           exceeds the item's token count;
-        * shared-prefix bookkeeping is closed: every registered block's
-          pseudo item is resident, refcounts equal the live references,
-          and the pinned set is exactly the referenced blocks (at most
-          one owning copy per content hash follows from ``_shared`` being
-          keyed by hash).
+        * shared-prefix bookkeeping is closed: the content index holds
+          exactly the resident items that carry a hash, every reference
+          points at an indexed prefix, and each prefix's refcount equals
+          its live references.
 
         Raises:
             AssertionError: on any violation.
@@ -1310,39 +1257,30 @@ class AttentionStore:
             assert item.session_id not in self._items, (
                 f"session {item.session_id} both resident and parked offline"
             )
-        assert len(self._shared) == len(self._pseudo_to_hash), (
-            "shared block index and pseudo-id map out of sync"
-        )
-        refs_by_hash: dict[str, int] = {}
-        for session_id, content_hash in self._shared_ref.items():
+        refs: dict[int, int] = {}
+        for session_id, prefix in self._prefix_of.items():
             assert session_id >= 0, (
-                f"pseudo id {session_id} holds a shared reference"
+                f"shared prefix {session_id} holds a prefix reference"
             )
-            assert content_hash in self._shared, (
-                f"session {session_id} references unknown hash {content_hash}"
+            assert prefix.content_hash is not None and (
+                self._by_hash.get(prefix.content_hash) is prefix
+            ), f"session {session_id} references an unindexed prefix"
+            refs[prefix.session_id] = refs.get(prefix.session_id, 0) + 1
+        indexed = 0
+        for session_id, item in self._items.items():
+            if item.content_hash is None:
+                assert not item.refcount, (
+                    f"tail {session_id} has refcount {item.refcount}"
+                )
+                continue
+            indexed += 1
+            assert self._by_hash.get(item.content_hash) is item, (
+                f"shared prefix {session_id} missing from the content index"
             )
-            refs_by_hash[content_hash] = refs_by_hash.get(content_hash, 0) + 1
-        pinned_expected = set()
-        for content_hash, block in self._shared.items():
-            assert self._pseudo_to_hash.get(block.pseudo_id) == content_hash, (
-                f"shared block {content_hash[:12]} pseudo-id link broken"
+            assert item.refcount == refs.get(session_id, 0), (
+                f"shared prefix {session_id}: refcount {item.refcount} != "
+                f"live references {refs.get(session_id, 0)}"
             )
-            item = self._items.get(block.pseudo_id)
-            assert item is not None, (
-                f"shared block {content_hash[:12]} has no resident item"
-            )
-            assert item.n_tokens == block.n_tokens, (
-                f"shared block {content_hash[:12]}: item holds "
-                f"{item.n_tokens} tokens, block records {block.n_tokens}"
-            )
-            assert block.refcount == refs_by_hash.get(content_hash, 0), (
-                f"shared block {content_hash[:12]}: refcount "
-                f"{block.refcount} != live references "
-                f"{refs_by_hash.get(content_hash, 0)}"
-            )
-            if block.refcount > 0:
-                pinned_expected.add(block.pseudo_id)
-        assert self._shared_pinned == pinned_expected, (
-            f"pinned set {self._shared_pinned} != referenced blocks "
-            f"{pinned_expected}"
+        assert indexed == len(self._by_hash), (
+            "content index holds prefixes the store does not"
         )

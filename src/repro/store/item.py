@@ -3,7 +3,9 @@
 One item holds *all* KV caches of a conversation session across all layers
 — the paper's minimal eviction and fetching granularity, because "the KV
 cache in the same conversation session is either all used or none of it is
-used" (Section 3.3.2).
+used" (Section 3.3.2).  A shared prefix several sessions read is an item
+too, keyed by a negative id and carrying its content hash and reference
+count (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ class Tier(str, Enum):
 
 @dataclass(slots=True)
 class KVCacheItem:
-    """Metadata for one session's stored KV cache.
+    """Metadata for one stored KV segment: a session's tail or a shared prefix.
 
     Attributes:
-        session_id: the conversation session this item belongs to.
+        session_id: the conversation session this item belongs to, or the
+            negative id of a shared prefix.
         n_tokens: number of tokens whose KV is stored.
         n_bytes: total footprint.
         tier: current residency tier.
@@ -39,6 +42,9 @@ class KVCacheItem:
         last_access: the timestamp TTL expiry counts from.
         dram_ready_at: if a fetch from disk is in flight, the simulated time
             at which the DRAM copy becomes usable.
+        content_hash: a shared prefix's content hash (None for a tail).
+        refcount: sessions reading this shared prefix; while positive the
+            item is exempt from eviction and TTL expiry.
     """
 
     session_id: int
@@ -51,6 +57,8 @@ class KVCacheItem:
     last_access: float = 0.0
     dram_ready_at: float = 0.0
     fetch_in_flight: bool = field(default=False)
+    content_hash: str | None = None
+    refcount: int = 0
 
     def __post_init__(self) -> None:
         if self.n_tokens <= 0:

@@ -1,42 +1,37 @@
-"""Cross-session shared prefix blocks (content-addressed, copy-on-write).
+"""Cross-session shared prefixes: content addressing.
 
 Real fleets serve huge populations that share system prompts, few-shot
 templates and RAG preambles.  The AttentionStore of the paper keeps every
-session's KV private; this module adds the metadata for deduplicating the
-common prefix across sessions:
+session's KV private; sharing dedups the common prefix across sessions
+with one segment model (DESIGN.md §15):
 
 * a *content hash* deterministically identifies a prefix by its token
   identity and the model that produced the KV — two sessions whose
   conversations start with the same prefix under the same model map to the
   same hash;
-* a :class:`SharedBlock` is the refcounted owner record for one deduped
-  prefix.  The KV bytes themselves live in the store's tiers as an
-  ordinary :class:`~repro.store.item.KVCacheItem` under a *pseudo session
-  id* (negative, so it can never collide with a real session), which keeps
-  every byte-conservation and tier-exclusivity invariant intact;
-* copy-on-write: a session that *diverges* from the shared prefix (context
-  -window truncation rewrites its history) forks the overlapping tokens
-  into its private item and drops its reference; readers keep the shared
-  block untouched.
+* a session's KV is at most two segments, each an ordinary
+  :class:`~repro.store.item.KVCacheItem`: its private *tail*, keyed by the
+  session id, and the shared *prefix* it reads, keyed by the negative id
+  the prefix got at registration and carrying its content hash and
+  reference count.  Both obey every byte-conservation and
+  tier-exclusivity invariant;
+* a referenced prefix is exempt from eviction and TTL expiry; at zero
+  references it is an ordinary victim again;
+* copy-on-write: a session that *diverges* from its prefix (context-window
+  truncation rewrites its history) forks the overlapping tokens into its
+  tail and drops its reference; readers keep the prefix untouched.
 
-Shared blocks are exempt from per-session eviction and TTL expiry while
-``refcount > 0``; at zero they become ordinary eviction victims again.
 The cluster invariant relaxes from "exactly one copy per session" to
-"exactly one *owning* copy per content hash per store" — distinct replicas
-may each hold a copy of the same content hash (that is the point of
-content addressing: the bytes are reconstructible from the hash).
+"exactly one copy per content hash per store" — distinct replicas may
+each hold a copy of the same prefix (that is the point of content
+addressing: the bytes are reconstructible from the hash).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .attention_store import LookupStatus
-
-__all__ = ["SharedBlock", "SharedLookup", "shared_prefix_hash"]
+__all__ = ["shared_prefix_hash"]
 
 
 def shared_prefix_hash(prefix_id: int, n_tokens: int, model_name: str) -> str:
@@ -54,36 +49,3 @@ def shared_prefix_hash(prefix_id: int, n_tokens: int, model_name: str) -> str:
         raise ValueError(f"n_tokens must be positive, got {n_tokens}")
     payload = f"{model_name}\x00{prefix_id}\x00{n_tokens}".encode()
     return hashlib.sha256(payload).hexdigest()
-
-
-@dataclass(slots=True)
-class SharedBlock:
-    """Owner record for one deduplicated prefix.
-
-    The KV bytes are stored under ``pseudo_id`` (negative) in the store's
-    normal tier bookkeeping; this record only tracks identity and the
-    reference count that pins the bytes against eviction.
-    """
-
-    content_hash: str
-    pseudo_id: int
-    n_tokens: int
-    refcount: int = 0
-
-    def __post_init__(self) -> None:
-        if self.pseudo_id >= 0:
-            raise ValueError(
-                f"pseudo_id must be negative, got {self.pseudo_id}"
-            )
-        if self.n_tokens <= 0:
-            raise ValueError(f"n_tokens must be positive, got {self.n_tokens}")
-
-
-@dataclass(frozen=True, slots=True)
-class SharedLookup:
-    """Outcome of a shared-prefix lookup (always a hit; misses are None)."""
-
-    status: LookupStatus
-    n_tokens: int
-    n_bytes: int
-    ready_at: float = 0.0

@@ -58,12 +58,12 @@ class TestManualSharedMigration:
 
     def test_first_migration_adopts_the_prefix(self):
         source, target = self.setup_stores()
-        assert source.shared_ref_of(501) == (self.H, PREFIX_TOKENS)
+        assert source.prefix_of(501) is source._by_hash[self.H]
         item = source.extract(501)
         assert item is not None
         # Extraction drops the reference on the source; the unreferenced
         # block stays resident (plain LRU victim now, no longer pinned).
-        assert source.shared_ref_of(501) is None
+        assert source.prefix_of(501) is None
         admitted = target.admit_migrated(
             501,
             item.n_tokens,
@@ -73,7 +73,7 @@ class TestManualSharedMigration:
             shared_tokens=PREFIX_TOKENS,
         )
         assert admitted is not None
-        assert target.shared_ref_of(501) == (self.H, PREFIX_TOKENS)
+        assert target.prefix_of(501) is target._by_hash[self.H]
         assert target.has_shared(self.H)
         assert target.stats.shared_adoptions == 1
         # The adopted prefix is gated on the same wire transfer as the
@@ -101,9 +101,9 @@ class TestManualSharedMigration:
         # Both sessions re-linked to the one pre-existing block: no
         # adoption happened, so no prefix bytes would ride the wire.
         assert target.stats.shared_adoptions == 0
-        assert target.shared_block_count == 1
-        assert target.shared_ref_of(501) == (self.H, PREFIX_TOKENS)
-        assert target.shared_ref_of(502) == (self.H, PREFIX_TOKENS)
+        assert len(target._by_hash) == 1
+        assert target.prefix_of(501) is target._by_hash[self.H]
+        assert target.prefix_of(502) is target._by_hash[self.H]
         target.check_invariants()
 
     def test_cross_replica_copies_are_legal(self):
@@ -134,7 +134,7 @@ class TestEndToEndSharedMigration:
             s.stats.shared_adoptions for s in stores
         )
         relinked = any(
-            s.stats.migrations_in > 0 and s.shared_block_count > 0
+            s.stats.migrations_in > 0 and len(s._by_hash) > 0
             for s in stores
         )
         assert migrated_links > 0 or relinked

@@ -102,7 +102,7 @@ class TestSharedServing:
         engine, result = shared_run
         store = engine.store
         store.check_invariants()
-        assert store.shared_block_count <= 2  # one block per template
+        assert len(store._by_hash) <= 2  # one block per template
         assert result.store_stats.shared_registered <= 2
         assert result.store_stats.shared_acquires > 0
 
@@ -116,7 +116,7 @@ class TestSharedServing:
             conv
             for conv in sharing_trace().conversations
             if conv.shared_prefix_tokens
-            and store.shared_ref_of(conv.session_id) is not None
+            and store.prefix_of(conv.session_id) is not None
             and store.get(conv.session_id) is not None
         ]
         assert suffix_sessions
@@ -181,7 +181,7 @@ class TestDivergence:
         ]
         assert detached
         for session_id in detached:
-            assert engine.store.shared_ref_of(session_id) is None
+            assert engine.store.prefix_of(session_id) is None
         engine.store.check_invariants()
 
 

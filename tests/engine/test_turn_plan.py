@@ -3,11 +3,11 @@
 The reference keeps the history as a token list and cuts ``cut`` tokens
 off its front at a time until the prompt fits the window, then decides
 reuse from an if-table with one row per case the engine distinguishes:
-turn 0 with or without a shared prefix, failover, a corrupt item, a
-private hit whose prefix block is gone, a private hit (with or without
-the prefix), a shared-prefix-only hit, and a miss.  Hypothesis draws
-histories, q/a lengths, windows, ratios and the private and shared tier
-states the engine's lookups can report.
+turn 0 with or without a shared prefix, failover, a corrupt tail, a tail
+hit whose prefix is gone, a tail hit (with or without the prefix), a
+shared-prefix-only hit, and a miss.  Hypothesis draws histories, q/a
+lengths, windows, ratios and the tail and prefix tier states the
+engine's lookups can report.
 """
 
 from hypothesis import event, given, settings, strategies as st
@@ -19,13 +19,13 @@ from repro.engine import (
 )
 from repro.engine.truncation import plan_turn
 from repro.store.attention_store import LookupResult, LookupStatus
-from repro.store.sharing import SharedLookup
 
 HITS = {
     LookupStatus.HIT_HBM: TurnOutcome.HIT_HBM,
     LookupStatus.HIT_DRAM: TurnOutcome.HIT_DRAM,
     LookupStatus.HIT_DISK: TurnOutcome.HIT_DISK,
 }
+MISS = LookupResult(LookupStatus.MISS)
 
 
 def reference_window(history, q, window, ratio):
@@ -40,33 +40,33 @@ def reference_window(history, q, window, ratio):
     return len(tokens), q
 
 
-def reference_plan(history, prompt, private, shared, prefixed, first_turn, failover):
+def reference_plan(history, prompt, tail, prefix, first_turn, failover):
     """(outcome, reused, shared, loads, drop, fallback outcome); loads are
-    ``(status, n_tokens)`` pairs, private first."""
-    p_status = private.status if private is not None else None
-    s_tokens = shared.n_tokens if shared is not None else 0
-    if first_turn and shared is not None:
+    ``(status, n_tokens)`` pairs, tail first."""
+    p_hit = prefix is not None and prefix.status in HITS
+    s_tokens = prefix.n_tokens if p_hit else 0
+    if first_turn and p_hit:
         reused = min(s_tokens, prompt)
         return (TurnOutcome.HIT_SHARED, reused, reused,
-                [(shared.status, reused)], False, TurnOutcome.FIRST_TURN)
+                [(prefix.status, reused)], False, TurnOutcome.FIRST_TURN)
     if first_turn:
         return TurnOutcome.FIRST_TURN, 0, 0, [], False, None
-    if failover or p_status is LookupStatus.MISS_CORRUPT:
+    if failover or tail.status is LookupStatus.MISS_CORRUPT:
         return TurnOutcome.FALLBACK_RECOMPUTE, 0, 0, [], False, None
-    if p_status in HITS and prefixed and shared is None:
+    if tail.status in HITS and prefix is not None and not p_hit:
         return TurnOutcome.MISS, 0, 0, [], True, None
-    if p_status in HITS:
-        reused = min(private.n_tokens + s_tokens, history)
+    if tail.status in HITS:
+        reused = min(tail.n_tokens + s_tokens, history)
         from_shared = min(s_tokens, reused)
-        loads = [(p_status, reused - from_shared)]
+        loads = [(tail.status, reused - from_shared)]
         if from_shared:
-            loads.append((shared.status, from_shared))
-        return (HITS[p_status], reused, from_shared, loads, False,
+            loads.append((prefix.status, from_shared))
+        return (HITS[tail.status], reused, from_shared, loads, False,
                 TurnOutcome.FALLBACK_RECOMPUTE)
-    if shared is not None:
+    if p_hit:
         reused = min(s_tokens, history)
         return (TurnOutcome.HIT_SHARED, reused, reused,
-                [(shared.status, reused)], False, TurnOutcome.MISS)
+                [(prefix.status, reused)], False, TurnOutcome.MISS)
     return TurnOutcome.MISS, 0, 0, [], False, None
 
 
@@ -83,24 +83,25 @@ def turns(draw):
     q = draw(st.one_of(st.integers(1, window // 4), st.integers(1, 2 * window)))
     a = draw(st.integers(1, 2 * window))
     failover = draw(st.sampled_from([False, False, False, True]))
-    prefixed = draw(st.booleans())
-    private_status = draw(
+    has_prefix = draw(st.booleans())
+    tail_status = draw(
         st.sampled_from(list(LookupStatus) + [LookupStatus.HIT_DRAM, LookupStatus.HIT_DISK])
     )
-    private_tokens = draw(st.integers(1, 3 * window))
-    shared_status = draw(
-        st.sampled_from([LookupStatus.HIT_DRAM, LookupStatus.HIT_DISK, None])
+    tail_tokens = draw(st.integers(1, 3 * window))
+    # A MISS is a prefix that is gone (never registered, evicted, expired).
+    prefix_status = draw(
+        st.sampled_from([LookupStatus.HIT_DRAM, LookupStatus.HIT_DISK, LookupStatus.MISS])
     )
-    shared_tokens = draw(st.integers(1, window))
-    return (window, ratio, first_turn, history, q, a, failover, prefixed,
-            private_status, private_tokens, shared_status, shared_tokens)
+    prefix_tokens = draw(st.integers(1, window))
+    return (window, ratio, first_turn, history, q, a, failover, has_prefix,
+            tail_status, tail_tokens, prefix_status, prefix_tokens)
 
 
 @settings(max_examples=400, deadline=None)
 @given(turns())
 def test_plan_turn_matches_reference(case):
-    (window, ratio, first_turn, history, q, a, failover, prefixed,
-     private_status, private_tokens, shared_status, shared_tokens) = case
+    (window, ratio, first_turn, history, q, a, failover, has_prefix,
+     tail_status, tail_tokens, prefix_status, prefix_tokens) = case
     kept = apply_context_window(history, q, window, ratio)
     ref_history, ref_q = reference_window(history, q, window, ratio)
     assert (kept.history_tokens, kept.q_tokens) == (ref_history, ref_q)
@@ -108,34 +109,33 @@ def test_plan_turn_matches_reference(case):
     prompt = kept.prompt_tokens
     assert clamp_decode_tokens(prompt, a, window) == max(1, min(a, window - prompt))
 
-    # The lookups the engine makes: the private one after turn 0 when not
-    # failing over and some history is kept; the shared one on turn 0 or
-    # after a private lookup that was not corrupt.
-    private = None
-    if not (first_turn or failover) and kept.history_tokens:
-        hit = private_status in HITS
-        private = LookupResult(private_status, private_tokens if hit else 0)
-    shared = None
-    if (
-        prefixed
-        and shared_status is not None
-        and (first_turn or (private is not None
-                            and private.status is not LookupStatus.MISS_CORRUPT))
-    ):
-        shared = SharedLookup(shared_status, shared_tokens, 0)
+    # The lookups the engine makes: the tail after turn 0 when not failing
+    # over and some history is kept; the prefix on turn 0 or after a tail
+    # lookup that was not corrupt.  A lookup not made is a MISS.
+    tail = MISS
+    read_tail = not (first_turn or failover) and kept.history_tokens
+    if read_tail:
+        hit = tail_status in HITS
+        tail = LookupResult(tail_status, tail_tokens if hit else 0)
+    prefix = None
+    if has_prefix:
+        prefix = MISS
+        if first_turn or (read_tail and tail.status is not LookupStatus.MISS_CORRUPT):
+            hit = prefix_status in HITS
+            prefix = LookupResult(prefix_status, prefix_tokens if hit else 0)
 
     plan = plan_turn(
-        kept.history_tokens, prompt, private, shared,
-        prefixed=prefixed, first_turn=first_turn, failover=failover,
+        kept.history_tokens, prompt, tail, prefix,
+        first_turn=first_turn, failover=failover,
     )
     outcome, reused, from_shared, loads, drop, fallback = reference_plan(
-        kept.history_tokens, prompt, private, shared, prefixed, first_turn, failover
+        kept.history_tokens, prompt, tail, prefix, first_turn, failover
     )
     event(f"{outcome.value}{' drop' if drop else ''}{' shared' if from_shared else ''}")
     assert plan.outcome is outcome
     assert (plan.reused, plan.shared, plan.new) == (reused, from_shared, prompt - reused)
     assert [(lookup.status, n) for lookup, n in plan.loads] == loads
-    assert plan.drop_private is drop
+    assert plan.drop_tail is drop
     if loads:
         failed = plan.fallback()
         assert failed.outcome is fallback

@@ -325,7 +325,7 @@ class TestHBMCacheTier:
         store.save_to_hbm_cache(1, 10, now=0.0)
         store.save_to_hbm_cache(2, 10, now=1.0)
         assert store.get(1).tier is Tier.DRAM
-        assert store.shared_ref_of(1) == ("h", 10)
+        assert store.prefix_of(1) is store._by_hash["h"]
         store.check_invariants()
 
     def test_hbm_only_drops_on_overflow(self):

@@ -35,6 +35,11 @@ def make_store(dram_items=4, disk_items=16, item_tokens=10, **config_overrides):
     return AttentionStore(config, KB, Channel("ssd", 1e9))
 
 
+def n_prefixes(store):
+    """Shared prefixes resident in ``store`` (items keyed by negative ids)."""
+    return sum(sid < 0 for sid in store.resident_sessions())
+
+
 H1 = shared_prefix_hash(0, 10, "llama-13b")
 H2 = shared_prefix_hash(1, 10, "llama-13b")
 
@@ -58,23 +63,22 @@ class TestRegisterLookup:
         store = make_store()
         assert store.register_shared(H1, 10, now=0.0)
         result = store.lookup_shared(H1, 1.0)
-        assert result is not None
         assert result.status is LookupStatus.HIT_DRAM
         assert result.n_tokens == 10
         assert store.has_shared(H1)
-        assert store.shared_block_count == 1
+        assert n_prefixes(store) == 1
         store.check_invariants()
 
     def test_register_is_idempotent(self):
         store = make_store()
         assert store.register_shared(H1, 10, now=0.0)
         assert store.register_shared(H1, 10, now=1.0)
-        assert store.shared_block_count == 1
+        assert n_prefixes(store) == 1
         assert store.stats.shared_registered == 1
 
     def test_miss_counts(self):
         store = make_store()
-        assert store.lookup_shared(H1, 0.0) is None
+        assert store.lookup_shared(H1, 0.0).status is LookupStatus.MISS
         assert store.stats.shared_misses == 1
 
     def test_oversized_prefix_rejected(self):
@@ -100,13 +104,13 @@ class TestRefcounts:
         store.register_shared(H1, 10, now=0.0)
         assert store.acquire_shared(H1, 1)
         assert store.acquire_shared(H1, 2)
-        assert store.shared_ref_of(1) == (H1, 10)
+        assert store.prefix_of(1) is store._by_hash[H1]
         assert store.acquire_shared(H1, 1)  # idempotent per pair
         assert store.stats.shared_acquires == 2
         assert store.release_shared(1)
         assert not store.release_shared(1)  # already released
         assert store.release_shared(2)
-        assert store.shared_ref_of(2) is None
+        assert store.prefix_of(2) is None
         store.check_invariants()
 
     def test_acquire_unknown_hash_fails(self):
@@ -119,21 +123,23 @@ class TestRefcounts:
         store.register_shared(H2, 10, now=0.0)
         store.acquire_shared(H1, 1)
         store.acquire_shared(H2, 1)
-        assert store.shared_ref_of(1) == (H2, 10)
+        assert store.prefix_of(1) is store._by_hash[H2]
         # H1's refcount must have dropped back to zero: filling DRAM may
         # now demote it.
         assert store.stats.shared_releases == 1
         store.check_invariants()
 
     def test_dedup_bytes_counts_extra_references(self):
+        """Each reference past the first is one private copy saved."""
         store = make_store()
         store.register_shared(H1, 10, now=0.0)
-        assert store.shared_dedup_bytes == 0
+        prefix = store._by_hash[H1]
+        assert prefix.refcount == 0
         store.acquire_shared(H1, 1)
-        assert store.shared_dedup_bytes == 0
+        assert prefix.refcount == 1
         store.acquire_shared(H1, 2)
         store.acquire_shared(H1, 3)
-        assert store.shared_dedup_bytes == 2 * store.item_bytes(10)
+        assert (prefix.refcount - 1) * prefix.n_bytes == 2 * store.item_bytes(10)
 
 
 class TestEvictionInteraction:
@@ -147,10 +153,10 @@ class TestEvictionInteraction:
         store.acquire_shared(H1, 2)
         store.drop(1)
         assert store.has_shared(H1)
-        assert store.shared_ref_of(1) is None
-        assert store.shared_ref_of(2) == (H1, 10)
+        assert store.prefix_of(1) is None
+        assert store.prefix_of(2) is store._by_hash[H1]
         result = store.lookup_shared(H1, 1.0)
-        assert result is not None and result.status is LookupStatus.HIT_DRAM
+        assert result.status is LookupStatus.HIT_DRAM
         store.check_invariants()
 
     def test_referenced_block_is_not_evictable(self):
@@ -162,7 +168,7 @@ class TestEvictionInteraction:
         for sid in range(2, 8):
             store.save(sid, 10, now=float(sid))
         assert store.has_shared(H1)
-        block_item = store.get(store._shared[H1].pseudo_id)
+        block_item = store.get(store._by_hash[H1].session_id)
         assert block_item.tier is Tier.DRAM
         store.check_invariants()
 
@@ -173,11 +179,11 @@ class TestEvictionInteraction:
         store.release_shared(1)
         for sid in range(2, 6):
             store.save(sid, 10, now=float(sid))
-        pseudo_id = store._shared[H1].pseudo_id
-        assert store.get(pseudo_id).tier is Tier.DISK
+        prefix_id = store._by_hash[H1].session_id
+        assert store.get(prefix_id).tier is Tier.DISK
         # Still addressable: a disk hit, priced like any private item.
         result = store.lookup_shared(H1, 9.0)
-        assert result is not None and result.status is LookupStatus.HIT_DISK
+        assert result.status is LookupStatus.HIT_DISK
         store.check_invariants()
 
     def test_referenced_block_exempt_from_ttl(self):
@@ -193,7 +199,7 @@ class TestEvictionInteraction:
     def test_expired_unreferenced_block_dropped_on_lookup(self):
         store = make_store(ttl_seconds=5.0)
         store.register_shared(H1, 10, now=0.0)
-        assert store.lookup_shared(H1, 100.0) is None
+        assert store.lookup_shared(H1, 100.0).status is LookupStatus.MISS
         assert not store.has_shared(H1)
         store.check_invariants()
 
@@ -208,7 +214,7 @@ class TestCopyOnWrite:
         assert store.truncate(1, 15)
         assert store.get(1).n_tokens == 15
         assert store.stats.cow_forks == 1
-        assert store.shared_ref_of(1) is None  # diverged for good
+        assert store.prefix_of(1) is None  # diverged for good
         assert store.has_shared(H1)  # readers unaffected
         store.check_invariants()
 
@@ -220,7 +226,7 @@ class TestCopyOnWrite:
         assert store.truncate(1, 6)
         assert store.get(1).n_tokens == 6
         assert store.stats.cow_forks == 0
-        assert store.shared_ref_of(1) is None
+        assert store.prefix_of(1) is None
         store.check_invariants()
 
     def test_fork_without_dram_space_drops_item(self):
@@ -233,7 +239,7 @@ class TestCopyOnWrite:
         # cleanly: item dropped, reference released, block intact.
         assert not store.truncate(1, 20)
         assert store.get(1) is None
-        assert store.shared_ref_of(1) is None
+        assert store.prefix_of(1) is None
         assert store.has_shared(H1)
         store.check_invariants()
 
@@ -268,16 +274,16 @@ class TestLifecycleInteraction:
         store.save(1, 10, now=0.0)
         store.acquire_shared(H1, 1)
         store.drop(1)
-        assert store.shared_ref_of(1) is None
+        assert store.prefix_of(1) is None
         store.check_invariants()
 
     def test_drop_of_pseudo_id_unregisters_block(self):
         store = make_store()
         store.register_shared(H1, 10, now=0.0)
         store.acquire_shared(H1, 1)
-        store.drop(store._shared[H1].pseudo_id)
+        store.drop(store._by_hash[H1].session_id)
         assert not store.has_shared(H1)
-        assert store.shared_ref_of(1) is None
+        assert store.prefix_of(1) is None
         store.check_invariants()
 
     def test_extract_releases_reference_but_keeps_block(self):
@@ -287,7 +293,7 @@ class TestLifecycleInteraction:
         store.acquire_shared(H1, 1)
         item = store.extract(1)
         assert item is not None
-        assert store.shared_ref_of(1) is None
+        assert store.prefix_of(1) is None
         assert store.has_shared(H1)
         store.check_invariants()
 
@@ -296,7 +302,7 @@ class TestLifecycleInteraction:
         store.register_shared(H1, 10, now=0.0)
         store.acquire_shared(H1, 1)
         assert not store.discard_stale(1)  # no private item to drop
-        assert store.shared_ref_of(1) is None
+        assert store.prefix_of(1) is None
         store.check_invariants()
 
     def test_decommission_clears_all_sharing_state(self):
@@ -307,9 +313,9 @@ class TestLifecycleInteraction:
         store.acquire_shared(H1, 2)  # reference without a private item
         store.decommission()
         assert len(store) == 0
-        assert store.shared_block_count == 0
-        assert store.shared_ref_of(1) is None
-        assert store.shared_ref_of(2) is None
+        assert n_prefixes(store) == 0
+        assert store.prefix_of(1) is None
+        assert store.prefix_of(2) is None
         store.check_invariants()
 
     def test_admit_migrated_adopts_unknown_hash(self):
@@ -319,7 +325,7 @@ class TestLifecycleInteraction:
             1, item.n_tokens, 5.0, shared_hash=H1, shared_tokens=10
         )
         assert store.has_shared(H1)
-        assert store.shared_ref_of(1) == (H1, 10)
+        assert store.prefix_of(1) is store._by_hash[H1]
         assert store.stats.shared_adoptions == 1
         store.check_invariants()
 
@@ -330,9 +336,9 @@ class TestLifecycleInteraction:
         store.admit_migrated(
             1, item.n_tokens, 5.0, shared_hash=H1, shared_tokens=10
         )
-        assert store.shared_ref_of(1) == (H1, 10)
+        assert store.prefix_of(1) is store._by_hash[H1]
         assert store.stats.shared_adoptions == 0
-        assert store.shared_block_count == 1
+        assert n_prefixes(store) == 1
         store.check_invariants()
 
 
@@ -354,14 +360,14 @@ class TestOfflineWithSharing:
         store.release_shared(1)
         for sid in range(2, 6):  # push the unreferenced block to disk
             store.save(sid, 10, now=float(sid))
-        pseudo_id = store._shared[H1].pseudo_id
-        assert store.get(pseudo_id).tier is Tier.DISK
+        prefix_id = store._by_hash[H1].session_id
+        assert store.get(prefix_id).tier is Tier.DISK
         store.wipe_volatile(10.0)
         assert not store.has_shared(H1)
         store.restore_offline(20.0)
         assert store.has_shared(H1)
         result = store.lookup_shared(H1, 21.0)
-        assert result is not None and result.status is LookupStatus.HIT_DISK
+        assert result.status is LookupStatus.HIT_DISK
         store.check_invariants()
 
     def test_wipe_loses_dram_only_block(self):
@@ -391,17 +397,17 @@ class TestOfflineWithSharing:
         store.acquire_shared(H1, 1)
         for sid in range(6, 10):
             store.save(sid, 10, now=float(sid))
-        if store.get(store._shared[H1].pseudo_id).tier is not Tier.DISK:
+        if store.get(store._by_hash[H1].session_id).tier is not Tier.DISK:
             store.release_shared(1)
             for sid in range(10, 14):
                 store.save(sid, 10, now=float(sid))
             store.acquire_shared(H1, 1)
         assert store.get(1).tier is Tier.DISK
-        assert store.get(store._shared[H1].pseudo_id).tier is Tier.DISK
+        assert store.get(store._by_hash[H1].session_id).tier is Tier.DISK
         store.wipe_volatile(20.0)
         store.restore_offline(30.0)
         assert store.has_shared(H1)
-        assert store.shared_ref_of(1) == (H1, 10)
+        assert store.prefix_of(1) is store._by_hash[H1]
         store.check_invariants()
 
     def test_orphaned_suffix_discarded_when_block_lost(self):
@@ -414,7 +420,7 @@ class TestOfflineWithSharing:
         for sid in range(2, 6):  # demote the private suffix only
             store.save(sid, 10, now=float(sid))
         assert store.get(1).tier is Tier.DISK
-        assert store.get(store._shared[H1].pseudo_id).tier is Tier.DRAM
+        assert store.get(store._by_hash[H1].session_id).tier is Tier.DRAM
         store.wipe_volatile(10.0)
         store.restore_offline(20.0)
         assert not store.has_shared(H1)
@@ -441,8 +447,8 @@ class TestSharingProperties:
     def test_random_shared_ops_conserve_bytes(self, ops):
         """Byte conservation with sharing: after every operation the
         store's own invariant sweep must hold — tier accounting matches
-        allocators, every block has a resident pseudo item, refcounts
-        equal live references, pins equal referenced blocks."""
+        allocators, every prefix is a resident indexed item, refcounts
+        equal live references."""
         store = make_store(dram_items=3, disk_items=8)
         hashes = [H1, H2, shared_prefix_hash(2, 10, "llama-13b")]
         now = 0.0
