@@ -1012,9 +1012,11 @@ class ServingEngine:
         self._gpu_busy = False
         self._hbm_reserved_tokens = 0
         if self.store is not None:
+            # Wipe first: it releases every prefix reference, so no
+            # unpinned session is left holding one without a tail.
+            self.store.wipe_volatile(now)
             for session_id in self._active_sessions:
                 self.store.unpin(session_id)
-            self.store.wipe_volatile(now)
         self._active_sessions.clear()
         interrupted.sort(key=lambda r: (r.arrival_time, r.global_turn))
         return interrupted

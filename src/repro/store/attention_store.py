@@ -381,7 +381,8 @@ class AttentionStore:
         position_decoupled: bool,
     ) -> KVCacheItem | None:
         """Place a session's new tail in DRAM in place of its old one
-        (see :meth:`save`), counting a rejection."""
+        (see :meth:`save`).  A rejection is counted, and a session left
+        without a tail releases its prefix reference."""
         if n_tokens <= 0:
             raise ValueError(f"n_tokens must be positive, got {n_tokens}")
         # Replacing a session's item extends it by one turn; KV blocks
@@ -403,6 +404,10 @@ class AttentionStore:
                     # Genuinely unrecoverable: the eviction cascade took
                     # the freed space.
                     self.stats.evicted_out += 1
+            if self._prefix_of and session_id not in self._items:
+                # A session holds a prefix reference only while it has a
+                # tail or a running turn, and the turn saving is ending.
+                self._release(session_id)
             return None
         if old_written:
             # Clamped so the delta-write-back invariant
@@ -1192,7 +1197,9 @@ class AttentionStore:
         * shared-prefix bookkeeping is closed: the content index holds
           exactly the resident items that carry a hash, every reference
           points at an indexed prefix, and each prefix's refcount equals
-          its live references.
+          its live references;
+        * a session holds a prefix reference only while it has a resident
+          tail or is pinned (a running turn).
 
         Raises:
             AssertionError: on any violation.
@@ -1261,6 +1268,10 @@ class AttentionStore:
         for session_id, prefix in self._prefix_of.items():
             assert session_id >= 0, (
                 f"shared prefix {session_id} holds a prefix reference"
+            )
+            assert session_id in self._items or session_id in self._pinned, (
+                f"session {session_id} holds a prefix reference with neither "
+                f"a tail nor a running turn"
             )
             assert prefix.content_hash is not None and (
                 self._by_hash.get(prefix.content_hash) is prefix

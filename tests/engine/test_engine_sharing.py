@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import EngineConfig, StoreConfig
 from repro.engine import ServingEngine, TurnOutcome
-from repro.models import GiB, get_model
+from repro.models import GiB, MiB, get_model
 from repro.obs import SpanTracer
 from repro.workload import WorkloadSpec, generate_trace
 
@@ -183,6 +183,25 @@ class TestDivergence:
         for session_id in detached:
             assert engine.store.prefix_of(session_id) is None
         engine.store.check_invariants()
+
+
+class TestRejectedSaves:
+    def test_rejected_save_leaves_no_reference_behind(self):
+        """A session holds its prefix reference only while it has a tail
+        or a running turn: one whose save was rejected, leaving no tail,
+        must not keep its template pinned after the turn."""
+        trace = sharing_trace()
+        engine, result = run(trace, StoreConfig(dram_bytes=int(600 * MiB)))
+        store = engine.store
+        assert result.store_stats.save_rejections > 0
+        tailless = [
+            conv.session_id
+            for conv in trace.conversations
+            if store.get(conv.session_id) is None
+        ]
+        assert tailless
+        assert not [sid for sid in tailless if store.release_shared(sid)]
+        store.check_invariants()
 
 
 class TestSharedTracing:

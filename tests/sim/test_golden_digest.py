@@ -49,7 +49,11 @@ CHAOS_CLUSTER_DIGEST = "96f9935e0ab42dc63bc2ca68f7083fc916590ddaab1a113a62fd84c2
 #: 60 streamed sessions, half behind 2 shared templates, 600 MiB of DRAM,
 #: under the ``chaos`` fault profile: shared-block lookup, registration and
 #: copy-on-write forks, spills, and corrupt-miss fallbacks.
-SHARED_CHAOS_DIGEST = "c75dbcf13a1cbd7549a2c9d501f84bb25cafc5f6024b17722fc114a68ec5b500"
+#: Re-recorded when a rejected tail save began releasing the session's
+#: prefix reference: the leaked references had kept a template pinned
+#: after its sessions ended, so the run's eviction and reuse moved
+#: (spills 130 -> 154, corrupt misses 3 -> 1, registrations 4 -> 3).
+SHARED_CHAOS_DIGEST = "01417daa9c48aefe4bdc0715c6e30357df3b07e3bffacc2b77037cdb65a3ee91"
 
 
 def run_digest(result, sim, tracer) -> str:

@@ -221,6 +221,8 @@ class Model:
                         self.written[sid] = old_written
                 else:
                     self.evicted_out += 1
+            if sid not in self.items:
+                self.release(sid)
             return
         self.admit(ModelItem(sid, n_tokens, Tier.DRAM), Tier.DRAM)
         if old_written:
@@ -387,8 +389,12 @@ class TestStoreAgainstModel:
                 store.register_shared(a, b, now, queue=queue)
                 model.register(a, b, queue)
             elif op == "acquire":
-                store.acquire_shared(a, b)
-                model.acquire(a, b)
+                # A session reads a prefix only while it has a tail; the
+                # other case, a running turn that saves before it unpins,
+                # is the engine's and is not modelled here.
+                if b in model.items:
+                    store.acquire_shared(a, b)
+                    model.acquire(a, b)
             elif op == "release":
                 store.release_shared(a)
                 model.release(a)

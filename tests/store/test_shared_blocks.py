@@ -121,6 +121,7 @@ class TestRefcounts:
         store = make_store()
         store.register_shared(H1, 10, now=0.0)
         store.register_shared(H2, 10, now=0.0)
+        store.save(1, 10, now=0.0)
         store.acquire_shared(H1, 1)
         store.acquire_shared(H2, 1)
         assert store.prefix_of(1) is store._by_hash[H2]
@@ -150,6 +151,7 @@ class TestEvictionInteraction:
         store.save(1, 10, now=0.0)
         store.register_shared(H1, 10, now=0.0)
         store.acquire_shared(H1, 1)
+        store.pin(2)  # a reader in its first turn: no tail yet
         store.acquire_shared(H1, 2)
         store.drop(1)
         assert store.has_shared(H1)
@@ -162,6 +164,7 @@ class TestEvictionInteraction:
     def test_referenced_block_is_not_evictable(self):
         store = make_store(dram_items=2, disk_items=2)
         store.register_shared(H1, 10, now=0.0)
+        store.pin(1)  # a reader in its first turn: no tail yet
         store.acquire_shared(H1, 1)
         # Saves that need the block's space must fail around it, never
         # demote or drop it.
@@ -190,10 +193,13 @@ class TestEvictionInteraction:
         store = make_store(ttl_seconds=5.0)
         store.register_shared(H1, 10, now=0.0)
         store.register_shared(H2, 10, now=0.0)
+        store.pin(1)  # a reader in its first turn: no tail yet
         store.acquire_shared(H1, 1)
         store.sweep_expired(100.0)
         assert store.has_shared(H1)
         assert not store.has_shared(H2)
+        # A lookup serves it past its TTL too.
+        assert store.lookup_shared(H1, 200.0).status is LookupStatus.HIT_DRAM
         store.check_invariants()
 
     def test_expired_unreferenced_block_dropped_on_lookup(self):
@@ -317,6 +323,25 @@ class TestLifecycleInteraction:
         assert store.prefix_of(1) is None
         assert store.prefix_of(2) is None
         store.check_invariants()
+
+    def test_rejected_save_releases_a_tailless_reference(self):
+        """A session holds a prefix reference only while it has a tail or
+        a running turn: a rejected save that keeps the old tail keeps the
+        reference, one that leaves no tail releases it."""
+        store = make_store(dram_items=3)
+        store.register_shared(H1, 10, now=0.0)
+        store.save(1, 10, now=0.0)
+        store.acquire_shared(H1, 1)
+        store.pin(2)  # turn 0: the reference is taken before the save
+        store.acquire_shared(H1, 2)
+        # Both saves are larger than DRAM.
+        assert store.save(1, 40, now=1.0) is None
+        assert store.save(2, 40, now=1.0) is None
+        store.unpin(2)
+        store.check_invariants()
+        assert store.stats.shared_releases == 1
+        assert not store.release_shared(2)
+        assert store.release_shared(1)
 
     def test_admit_migrated_adopts_unknown_hash(self):
         store = make_store()
@@ -459,7 +484,10 @@ class TestSharingProperties:
             elif op == "register":
                 store.register_shared(hashes[sid % 3], arg, now=now)
             elif op == "acquire":
-                store.acquire_shared(hashes[arg], sid)
+                # A session reads a prefix only while it has a tail; the
+                # other case, a running turn, is not modelled here.
+                if store.get(sid) is not None:
+                    store.acquire_shared(hashes[arg], sid)
             elif op == "release":
                 store.release_shared(sid)
             elif op == "lookup_shared":
