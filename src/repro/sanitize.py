@@ -12,7 +12,9 @@ simulated event:
   (:meth:`AttentionStore.check_invariants` — tier exclusivity, capacity,
   dirty-token state);
 * every applied eviction plan takes only evictable victims from its own
-  tier, and conserves the tier's free blocks (:func:`check_placement`);
+  tier, applies none for a refused DRAM or HBM placement and only the
+  item's own room when the headroom is out of reach, and conserves the
+  tier's free blocks (:func:`check_placement`);
 * every §3.3.1 prefetch plan equals the reference window walk
   (:func:`~repro.store.prefetch.plan_prefetches`), and the incremental
   planner's state — charges, prefix sums, disk candidates — equals a
@@ -331,18 +333,56 @@ def check_victim(
 
 
 def check_placement(
-    tier: StorageTier, before: int, victims: list[KVCacheItem], admitted: int
+    tier: StorageTier,
+    before: int,
+    item_blocks: int,
+    want: int,
+    listed: list[KVCacheItem],
+    applied: list[KVCacheItem],
+    admitted: bool,
 ) -> None:
-    """Assert an applied eviction plan conserved ``tier``'s blocks: its
-    free blocks now equal those ``before`` the plan, plus the victims'
-    blocks, minus the ``admitted`` blocks of the item it made room for."""
+    """Assert an eviction plan was sized and conserved ``tier``'s blocks.
+
+    Below disk, the plan is listed before it is applied, and the applied
+    victims are: none when all ``listed`` leave fewer than ``item_blocks``
+    free (a refused placement evicts nothing); the shortest prefix that
+    frees ``item_blocks`` when all of them fall short of ``want``; else all
+    of them.  (A disk plan is applied as taken, so it lists what it
+    applied.)  On every tier, the free blocks now equal those ``before``
+    the plan, plus the applied victims' blocks, minus the item's blocks
+    when it was ``admitted``."""
+    from .store.item import Tier
+
     block = tier.block_bytes
-    freed = sum(-(-victim.n_bytes // block) for victim in victims)
-    if tier.free_blocks != before + freed - admitted:
+
+    def reach(victims: list[KVCacheItem]) -> int:
+        return before + sum(-(-victim.n_bytes // block) for victim in victims)
+
+    if tier.tier is not Tier.DISK:
+        full = reach(listed)
+        if full < item_blocks:
+            sized = not applied
+        elif full < want:
+            sized = (
+                applied == listed[: len(applied)]
+                and reach(applied) >= item_blocks
+                and (not applied or reach(applied[:-1]) < item_blocks)
+            )
+        else:
+            sized = applied == listed
+        if not sized:
+            raise SimSanError(
+                f"{tier.tier.value} placement of {item_blocks} blocks (want "
+                f"{want}, {before} free) applied "
+                f"{[v.session_id for v in applied]} of the listed plan "
+                f"{[v.session_id for v in listed]}"
+            )
+    taken = item_blocks if admitted else 0
+    if tier.free_blocks != reach(applied) - taken:
         raise SimSanError(
             f"{tier.tier.value} placement: {tier.free_blocks} free blocks "
-            f"after evicting {[v.session_id for v in victims]}, expected "
-            f"{before} + {freed} freed - {admitted} admitted"
+            f"after evicting {[v.session_id for v in applied]}, expected "
+            f"{reach(applied)} - {taken} admitted"
         )
 
 

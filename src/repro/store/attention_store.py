@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, AbstractSet, Callable, KeysView
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, KeysView
 
 from ..config import EvictionPolicyName, StoreConfig
 from ..faults import FaultInjector, TierHealth
@@ -50,6 +50,7 @@ from .policy import (
     SchedulerAwarePolicy,
     VictimSource,
     plan_evictions,
+    victims_to_apply,
 )
 from .prefetch import PrefetchPlanner
 from .tier import OutOfBlocksError, StorageTier
@@ -204,11 +205,16 @@ class AttentionStore:
         #: (installed by SimSan): ``(queue, fetch_ids)``.
         self.plan_check: Callable[[QueueView, list[int]], None] | None = None
         #: Optional cross-checks of every applied eviction plan (installed
-        #: by SimSan): each victim as it is taken, and the tier's blocks
-        #: once the plan and its admission are done.
+        #: by SimSan): each victim as it is taken, and, once the plan and
+        #: its admission are done, ``(tier, free blocks before, item blocks,
+        #: wanted blocks, listed victims, applied victims, admitted)``.
         self.victim_check: Callable[[StorageTier, KVCacheItem], None] | None = None
         self.placement_check: (
-            Callable[[StorageTier, int, list[KVCacheItem], int], None] | None
+            Callable[
+                [StorageTier, int, int, int, list[KVCacheItem], list[KVCacheItem], bool],
+                None,
+            ]
+            | None
         ) = None
         self._tiers = {
             Tier.HBM: self.hbm_tier,
@@ -359,12 +365,11 @@ class AttentionStore:
 
         Evicts DRAM -> disk -> out as needed.  Returns the stored item, or
         None when the cache cannot fit anywhere (it is then simply not
-        retained — a store overflow).  When a *replacement* is rejected the
-        session's previous item is put back, at the MRU end of its tier:
-        the still-reusable turn N-1 prefix must not be destroyed by a
-        failed save of turn N.  The rejected save's evictions still ran,
-        though, and the old item is lost (counted in ``evicted_out``) when
-        they took the room it left, e.g. a demotion filled its disk slot.
+        retained — a store overflow).  A rejected save evicts nothing (see
+        :meth:`_place`).  When a *replacement* is rejected the session's
+        previous item is put back, at the MRU end of its tier, into the
+        room it left: the still-reusable turn N-1 prefix must not be
+        destroyed by a failed save of turn N.
         """
         item = self._put_tail(session_id, n_tokens, now, queue, position_decoupled)
         if item is None:
@@ -398,12 +403,8 @@ class AttentionStore:
         if item is None:
             self.stats.save_rejections += 1
             if old is not None:
-                try:
-                    self._admit(old, self._tiers[old.tier], old_written)
-                except OutOfBlocksError:
-                    # Genuinely unrecoverable: the eviction cascade took
-                    # the freed space.
-                    self.stats.evicted_out += 1
+                # The refused placement evicted nothing: the room is there.
+                self._admit(old, self._tiers[old.tier], old_written)
             if self._prefix_of and session_id not in self._items:
                 # A session holds a prefix reference only while it has a
                 # tail or a running turn, and the turn saving is ending.
@@ -800,12 +801,18 @@ class AttentionStore:
         self, item: KVCacheItem, tier: StorageTier, queue: QueueView, now: float
     ) -> bool:
         """Make room for ``item`` in ``tier`` by one eviction plan, then
-        admit it there, moving it when it sits in another tier.  False, and
-        nothing admitted, when the plan leaves too little room; its victims
-        are evicted all the same.  A DRAM victim is demoted to disk (itself
-        a placement) or dropped, a disk victim is dropped, and an HBM
-        victim moves to DRAM (itself a placement) or is dropped.  DRAM keeps
-        ``dram_buffer_fraction`` of its capacity free on top.
+        admit it there, moving it when it sits in another tier.  DRAM keeps
+        ``dram_buffer_fraction`` of its capacity free on top of the item.
+
+        A DRAM or HBM plan is listed first and sized by
+        :func:`~repro.store.policy.victims_to_apply`: a placement the whole
+        plan cannot make room for evicts nothing and returns False, and one
+        that reaches the item's room but not the headroom applies only the
+        victims the item needs.  A disk plan is applied as it is taken, and
+        its victims go even when the item then does not fit.  A DRAM victim
+        is demoted to disk (itself a placement) or dropped, a disk victim is
+        dropped, and an HBM victim moves to DRAM (itself a placement) or is
+        dropped.
         """
         block = tier.block_bytes
         need = item.n_bytes
@@ -814,14 +821,25 @@ class AttentionStore:
             buffer = int(self.config.dram_buffer_fraction * capacity)
             need = min(need + buffer, capacity)
         before = tier.free_blocks
+        item_blocks = -(-item.n_bytes // block)
         want = -(-need // block)
+        listed: list[KVCacheItem] = []
         victims: list[KVCacheItem] = []
         if before < want:
             plan = plan_evictions(before, want, block, self._victim_source(tier, queue))
             check = self.victim_check
-            # A disk plan is applied as taken: the item each demotion adds
-            # joins the disk tier's LRU order, where the next plan may take it.
-            for victim in plan if tier is self.disk_tier else list(plan):
+            if tier is self.disk_tier:
+                # Applied as taken, so listed as applied: the item each
+                # demotion adds joins the disk tier's LRU order, where the
+                # next plan may take it.
+                listed = victims
+                applied: Iterable[KVCacheItem] = plan
+            else:
+                listed = list(plan)
+                applied = listed[
+                    : victims_to_apply(before, item_blocks, want, block, listed)
+                ]
+            for victim in applied:
                 if check is not None:
                     check(tier, victim)
                 victims.append(victim)
@@ -846,7 +864,7 @@ class AttentionStore:
                 self._admit(item, tier)
         if self.placement_check is not None:
             self.placement_check(
-                tier, before, victims, -(-item.n_bytes // block) if admitted else 0
+                tier, before, item_blocks, want, listed, victims, admitted
             )
         return admitted
 

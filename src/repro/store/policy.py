@@ -3,7 +3,8 @@
 The paper compares its scheduler-aware policy (Section 3.3.2) against LRU
 and FIFO (Figure 21).  A policy picks one victim at a time;
 :func:`plan_evictions`, the store's one eviction planner, asks it
-repeatedly until enough blocks would be free.
+repeatedly until enough blocks would be free, and :func:`victims_to_apply`
+sizes a listed plan against the room its placement can reach.
 
 Tiers keep LRU and FIFO orderings incrementally, so LRU and FIFO take the
 first evictable item of their ordering.  The scheduler-aware policy reads
@@ -23,6 +24,7 @@ from typing import (
     Iterable,
     Iterator,
     Protocol,
+    Sequence,
     runtime_checkable,
 )
 
@@ -246,3 +248,30 @@ def plan_evictions(
         yield victim
         taken.add(victim.session_id)
         free_blocks += -(-victim.n_bytes // block_bytes)
+
+
+def victims_to_apply(
+    free_blocks: int,
+    item_blocks: int,
+    want_blocks: int,
+    block_bytes: int,
+    victims: Sequence[KVCacheItem],
+) -> int:
+    """How many of a listed plan's ``victims`` its placement applies.
+
+    None when all of them still leave fewer than ``item_blocks`` free: the
+    placement is refused, and evicting would gain nothing.  When all of
+    them reach the item but not ``want_blocks`` (its room plus headroom),
+    only the shortest prefix that frees the item's room.  Otherwise all.
+    """
+    sizes = [-(-victim.n_bytes // block_bytes) for victim in victims]
+    reach = free_blocks + sum(sizes)
+    if reach >= want_blocks:
+        return len(victims)
+    if reach < item_blocks:
+        return 0
+    count = 0
+    while free_blocks < item_blocks:
+        free_blocks += sizes[count]
+        count += 1
+    return count

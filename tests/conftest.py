@@ -7,11 +7,24 @@ from itertools import count
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import EngineConfig, HardwareConfig, StoreConfig
 from repro.models import GiB, MiB, get_model
 from repro.sim import Simulator
 from repro.workload import WorkloadSpec, generate_trace
+
+# Tier-1 draws the same examples on every run of the same tree: each test
+# seeds from its own source, and no saved failures replay, so a defect
+# cannot pass one run and fail the next.  ``--hypothesis-profile=explore``
+# draws fresh examples, more of them where a test does not fix the count.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, max_examples=1000)
+
+
+def pytest_configure(config):
+    if config.getoption("hypothesis_profile", None) is None:
+        settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -98,19 +98,21 @@ class TestRejectedReplaceKeepsOldItem:
         assert store.get(2).tier is Tier.DRAM
         store.check_invariants()
 
-    def test_rejected_replacement_can_lose_old_disk_item(self):
-        """The rejected save's evictions still run: demoting session 3
-        takes the disk slot session 1's old item left, so it is lost."""
+    def test_rejected_replacement_keeps_old_disk_item(self):
+        """A refused save evicts nothing: session 3 is not demoted into
+        the disk slot session 1's old item left, so that item returns."""
         store = make_store(dram_items=2, disk_items=1)
         for sid in (1, 2, 3):  # session 1 spills to disk
             store.save(sid, 10, now=float(sid))
         assert store.get(1).tier is Tier.DISK
+        moved = store.ssd.bytes_moved
         store.pin(2)
         assert store.save(1, 20, now=4.0) is None
         assert store.stats.save_rejections == 1
-        assert store.stats.evicted_out == 1
-        assert 1 not in store
-        assert store.get(3).tier is Tier.DISK
+        assert store.stats.evicted_out == 0
+        assert store.get(1).tier is Tier.DISK
+        assert store.get(3).tier is Tier.DRAM
+        assert store.ssd.bytes_moved == moved
         store.check_invariants()
 
     def test_rejected_replacement_preserves_disk_dirty_state(self):
@@ -128,6 +130,56 @@ class TestRejectedReplaceKeepsOldItem:
         store.save(4, 10, now=6.0)
         store.save(5, 10, now=7.0)
         assert store.ssd.bytes_moved - before <= 12 * KB
+        store.check_invariants()
+
+
+class TestPlanSizing:
+    """A DRAM placement applies only the victims that make it land."""
+
+    def test_refused_prefetch_evicts_nothing(self):
+        # DRAM (40 blocks): session 2 pinned, the prefix it reads, and
+        # session 3; session 1's 25 tokens are on disk.  Evicting session
+        # 3 would leave 20 free blocks, short of the fetch's 25.
+        store = make_store(prefetch_capacity_fraction=1.0)
+        store.save(1, 25, now=0.0)
+        store.save(2, 10, now=1.0)
+        assert store.register_shared("h", 10, now=2.0)  # demotes session 1
+        store.save(3, 10, now=3.0)
+        store.acquire_shared("h", 2)
+        store.pin(2)
+        assert store.get(1).tier is Tier.DISK
+        residents = list(store.dram_tier.lru_order())
+        moved = store.ssd.bytes_moved
+        assert store.prefetch(ListQueueView([1]), now=4.0) == []
+        assert list(store.dram_tier.lru_order()) == residents
+        assert store.get(1).tier is Tier.DISK
+        assert store.ssd.bytes_moved == moved
+        assert store.stats.evicted_to_disk == 1
+        store.check_invariants()
+
+    def test_headroom_short_save_evicts_only_the_items_room(self):
+        # 40 DRAM blocks, 10 of them headroom.  Session 3 (20) is pinned
+        # and sessions 1 and 2 (5 each) evictable, with 10 blocks free: a
+        # 15-block save wants 25 and can reach 20, so it demotes session 1
+        # alone, the 5 blocks it lacks, and leaves session 2 in DRAM.
+        config = StoreConfig(
+            dram_bytes=40 * KB,
+            ssd_bytes=160 * KB,
+            block_bytes=KB,
+            dram_buffer_fraction=0.25,
+        )
+        store = AttentionStore(config, KB, Channel("ssd", 1e9))
+        store.save(3, 20, now=0.0)
+        store.save(1, 5, now=1.0)
+        store.save(2, 5, now=2.0)
+        store.pin(3)
+        assert store.dram_tier.free_blocks == 10
+        assert store.save(4, 15, now=3.0) is not None
+        assert store.get(1).tier is Tier.DISK
+        assert store.get(2).tier is Tier.DRAM
+        assert store.dram_tier.free_blocks == 0
+        assert store.stats.evicted_to_disk == 1
+        assert store.ssd.bytes_moved == 5 * KB
         store.check_invariants()
 
 

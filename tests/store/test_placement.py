@@ -1,12 +1,14 @@
 """The eviction planner and its applier against literal references.
 
 ``plan_evictions`` is checked against a loop that walks a victim order and
-takes one victim at a time.  The store, with tight DRAM and disk and no
+takes one victim at a time, and ``victims_to_apply`` against its rule.  The store, with tight DRAM and disk and no
 faults and SimSan installed, is checked against a model that lives only in
-this file: it keeps every tier as a dict of residents in LRU order, evicts
-one victim at a time through the brute-force §3.3.2 rule
-``reference_victim`` (applying each before choosing the next), and prices
-every spill and fetch.  After every operation the test compares each
+this file: it keeps every tier as a dict of residents in LRU order, takes
+DRAM victims one at a time through the brute-force §3.3.2 rule
+``reference_victim``, applies the ones the placement needs (none when it
+cannot land, only the item's room when the headroom is out of reach),
+evicts disk victims one at a time as it takes them, and prices every
+spill and fetch.  After every operation the test compares each
 resident's tier, tokens and fetch flag, each tier's LRU order and free
 blocks, the SSD bytes moved, the delta-write-back tokens and the eviction
 and rejection counters.
@@ -25,7 +27,7 @@ from repro.store import (
     Tier,
     plan_prefetches,
 )
-from repro.store.policy import plan_evictions
+from repro.store.policy import plan_evictions, victims_to_apply
 from repro.store.prefetch import WindowEntry
 
 BLOCK = 1000
@@ -77,6 +79,32 @@ class TestPlanEvictions:
         assert applied == expected
 
 
+class TestVictimsToApply:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 5 * BLOCK), max_size=8),
+        free=st.integers(0, 10),
+        item=st.integers(1, 20),
+        headroom=st.integers(0, 10),
+    )
+    def test_matches_the_rule(self, sizes, free, item, headroom):
+        """None when the whole plan leaves the item no room, all when it
+        reaches ``want``, else the shortest prefix that fits the item."""
+        victims = [KVCacheItem(sid, 1, n, Tier.DRAM) for sid, n in enumerate(sizes)]
+        want = item + headroom
+        reach = free + sum(blocks(n) for n in sizes)
+        if reach < item:
+            expected = 0
+        elif reach >= want:
+            expected = len(victims)
+        else:
+            expected, room = 0, free
+            while room < item:
+                room += blocks(sizes[expected])
+                expected += 1
+        assert victims_to_apply(free, item, want, BLOCK, victims) == expected
+
+
 class ModelItem:
     def __init__(self, session_id, n_tokens, tier):
         self.session_id = session_id
@@ -111,8 +139,8 @@ class ModelTier:
 
 
 class Model:
-    """A literal store: victims go one at a time, each applied before the
-    next is chosen, and every effect is written out."""
+    """A literal store: victims are taken one at a time, and every effect
+    is written out."""
 
     def __init__(self, config):
         self.config = config
@@ -176,11 +204,27 @@ class Model:
         target = min(n_bytes + buffer, capacity)
         if dram.free_blocks * BLOCK >= target:
             return dram.fits(n_bytes)
+        # Collect the victims one at a time, none applied yet.
         exempt, window = self.exempt(), self.window_limit()
-        while dram.free_blocks * BLOCK < target:
+        victims, free = [], dram.free_blocks
+        while free * BLOCK < target:
             victim = reference_victim(dram, queue, exempt, window)
             if victim is None:
                 break
+            victims.append(victim)
+            exempt = exempt | {victim.session_id}
+            free += blocks(victim.n_bytes)
+        if free * BLOCK < target:
+            # The headroom is out of reach: only the victims the item
+            # needs, and none when even all of them leave it no room.
+            needed, free = [], dram.free_blocks
+            for victim in victims:
+                if free * BLOCK >= n_bytes:
+                    break
+                needed.append(victim)
+                free += blocks(victim.n_bytes)
+            victims = needed if free * BLOCK >= n_bytes else []
+        for victim in victims:
             if not self.demote(victim, queue, window):
                 self.drop(victim.session_id)
                 self.evicted_out += 1
