@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, KeysView
+from typing import TYPE_CHECKING, AbstractSet, Callable, KeysView
 
 from ..config import EvictionPolicyName, StoreConfig
 from ..faults import FaultInjector, TierHealth
@@ -823,23 +823,19 @@ class AttentionStore:
         before = tier.free_blocks
         item_blocks = -(-item.n_bytes // block)
         want = -(-need // block)
-        listed: list[KVCacheItem] = []
         victims: list[KVCacheItem] = []
+        # A disk plan is applied as taken, so it lists what it applies: the
+        # item each demotion adds joins the disk tier's LRU order, where the
+        # next plan may take it.
+        listed = victims
         if before < want:
             plan = plan_evictions(before, want, block, self._victim_source(tier, queue))
             check = self.victim_check
-            if tier is self.disk_tier:
-                # Applied as taken, so listed as applied: the item each
-                # demotion adds joins the disk tier's LRU order, where the
-                # next plan may take it.
-                listed = victims
-                applied: Iterable[KVCacheItem] = plan
-            else:
+            if tier is not self.disk_tier:
                 listed = list(plan)
-                applied = listed[
-                    : victims_to_apply(before, item_blocks, want, block, listed)
-                ]
-            for victim in applied:
+                count = victims_to_apply(before, item_blocks, want, block, listed)
+                plan = iter(listed[:count])
+            for victim in plan:
                 if check is not None:
                     check(tier, victim)
                 victims.append(victim)

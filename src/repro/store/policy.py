@@ -259,10 +259,10 @@ def victims_to_apply(
 ) -> int:
     """How many of a listed plan's ``victims`` its placement applies.
 
-    None when all of them still leave fewer than ``item_blocks`` free: the
+    Zero when all of them still leave fewer than ``item_blocks`` free: the
     placement is refused, and evicting would gain nothing.  When all of
     them reach the item but not ``want_blocks`` (its room plus headroom),
-    only the shortest prefix that frees the item's room.  Otherwise all.
+    the shortest prefix that frees the item's room.  Otherwise all.
     """
     sizes = [-(-victim.n_bytes // block_bytes) for victim in victims]
     reach = free_blocks + sum(sizes)
