@@ -1,17 +1,17 @@
 """The eviction planner and its applier against literal references.
 
 ``plan_evictions`` is checked against a loop that walks a victim order and
-takes one victim at a time, and ``victims_to_apply`` against its rule.  The store, with tight DRAM and disk and no
-faults and SimSan installed, is checked against a model that lives only in
-this file: it keeps every tier as a dict of residents in LRU order, takes
-DRAM victims one at a time through the brute-force §3.3.2 rule
-``reference_victim``, applies the ones the placement needs (none when it
-cannot land, only the item's room when the headroom is out of reach),
-evicts disk victims one at a time as it takes them, and prices every
-spill and fetch.  After every operation the test compares each
-resident's tier, tokens and fetch flag, each tier's LRU order and free
-blocks, the SSD bytes moved, the delta-write-back tokens and the eviction
-and rejection counters.
+takes one victim at a time, and ``victims_to_apply`` against its rule.  The
+store, with tight DRAM and disk and no faults and SimSan installed, is
+checked against a model that lives only in this file: it keeps every tier
+as a dict of residents in LRU order, takes DRAM victims one at a time
+through the brute-force §3.3.2 rule ``reference_victim``, applies the ones
+the placement needs (none when it cannot land, only the item's room when
+the headroom is out of reach), evicts disk victims one at a time as it
+takes them, and prices every spill and fetch.  After every operation the
+test compares each resident's tier, tokens and fetch flag, each tier's LRU
+order and free blocks, the SSD bytes moved, the delta-write-back tokens
+and the eviction and rejection counters.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -88,8 +88,8 @@ class TestVictimsToApply:
         headroom=st.integers(0, 10),
     )
     def test_matches_the_rule(self, sizes, free, item, headroom):
-        """None when the whole plan leaves the item no room, all when it
-        reaches ``want``, else the shortest prefix that fits the item."""
+        """No victim when the whole plan leaves the item no room, all when
+        it reaches ``want``, else the shortest prefix that fits the item."""
         victims = [KVCacheItem(sid, 1, n, Tier.DRAM) for sid, n in enumerate(sizes)]
         want = item + headroom
         reach = free + sum(blocks(n) for n in sizes)
