@@ -812,7 +812,7 @@ class AttentionStore:
         its victims go even when the item then does not fit.  A DRAM victim
         is demoted to disk (itself a placement) or dropped, a disk victim is
         dropped, and an HBM victim moves to DRAM (itself a placement) or is
-        dropped.
+        dropped; every dropped victim counts in ``evicted_out``.
         """
         block = tier.block_bytes
         need = item.n_bytes
@@ -846,6 +846,7 @@ class AttentionStore:
                         victim, dram, queue, now
                     ):
                         self._drop(victim)
+                        self.stats.evicted_out += 1
                 elif tier is self.disk_tier or not self._demote_to_disk(
                     victim, queue, now
                 ):

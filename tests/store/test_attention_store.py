@@ -385,6 +385,8 @@ class TestHBMCacheTier:
         store.save_to_hbm_cache(1, 10, now=0.0)
         store.save_to_hbm_cache(2, 10, now=1.0)
         assert len(store) == 1
+        # The victim left the store, so it counts as evicted out.
+        assert store.stats.evicted_out == 1
 
     def test_without_hbm_tier_delegates_to_dram(self):
         store = make_store()
