@@ -11,10 +11,10 @@ simulated event:
 * AttentionStore byte/tier accounting is conserved after every mutation
   (:meth:`AttentionStore.check_invariants` — tier exclusivity, capacity,
   dirty-token state);
-* every applied eviction plan takes only evictable victims from its own
-  tier, applies none for a refused DRAM or HBM placement and only the
-  item's own room when the headroom is out of reach, and conserves the
-  tier's free blocks (:func:`check_placement`);
+* every applied eviction plan takes only victims its tier's rule allows,
+  applies none for a refused placement and only the item's own room when
+  the headroom is out of reach in a tier that lists its plans, and
+  conserves the tier's free blocks (:func:`check_placement`);
 * every §3.3.1 prefetch plan equals the reference window walk
   (:func:`~repro.store.prefetch.plan_prefetches`), and the incremental
   planner's state — charges, prefix sums, disk candidates — equals a
@@ -317,12 +317,12 @@ def check_victim(
     store: AttentionStore, tier: StorageTier, victim: KVCacheItem
 ) -> None:
     """Assert an eviction victim, as its plan takes it, sits in the plan's
-    tier and is evictable: no fetch in flight and, below HBM, not pinned
-    and not a shared prefix some session references.  (An HBM victim stays
-    in the store: it overflows to DRAM, so the HBM plan exempts none.)"""
+    tier and is evictable: no fetch in flight and, where the tier exempts
+    held items, not pinned and not a shared prefix some session
+    references."""
     sid = victim.session_id
     resident = tier.get(sid) is victim
-    held = tier is not store.hbm_tier and (
+    held = tier.exempts_held and (
         sid in store.pinned_sessions or victim.refcount > 0
     )
     if not resident or held or victim.fetch_in_flight:
@@ -343,22 +343,19 @@ def check_placement(
 ) -> None:
     """Assert an eviction plan was sized and conserved ``tier``'s blocks.
 
-    Below disk, the plan is listed before it is applied, and the applied
-    victims are: none when all ``listed`` leave fewer than ``item_blocks``
-    free (a refused placement evicts nothing); the shortest prefix that
-    frees ``item_blocks`` when all of them fall short of ``want``; else all
-    of them.  (A disk plan is applied as taken, so it lists what it
-    applied.)  On every tier, the free blocks now equal those ``before``
-    the plan, plus the applied victims' blocks, minus the item's blocks
-    when it was ``admitted``."""
-    from .store.item import Tier
-
+    In a tier that lists its plans, the applied victims are: none when all
+    ``listed`` leave fewer than ``item_blocks`` free (a refused placement
+    evicts nothing); the shortest prefix that frees ``item_blocks`` when
+    all of them fall short of ``want``; else all of them.  (A plan applied
+    as taken lists what it applied.)  On every tier, the free blocks now
+    equal those ``before`` the plan, plus the applied victims' blocks,
+    minus the item's blocks when it was ``admitted``."""
     block = tier.block_bytes
 
     def reach(victims: list[KVCacheItem]) -> int:
         return before + sum(-(-victim.n_bytes // block) for victim in victims)
 
-    if tier.tier is not Tier.DISK:
+    if tier.lists_plans:
         full = reach(listed)
         if full < item_blocks:
             sized = not applied

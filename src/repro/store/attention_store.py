@@ -7,10 +7,12 @@ Responsibilities (Section 3 of the paper):
 * serve lookups, reporting which tier a session's cache resides in;
 * prefetch upcoming sessions' caches from disk to DRAM using scheduler
   hints (Section 3.3.1);
-* evict DRAM -> disk -> out-of-system with a pluggable policy
-  (scheduler-aware by default; LRU/FIFO baselines, Section 3.3.2): every
-  eviction is one plan of :func:`~repro.store.policy.plan_evictions`,
-  applied by :meth:`AttentionStore._place`;
+* evict along one tier chain, HBM -> DRAM -> disk -> out-of-system, with
+  a pluggable policy (scheduler-aware by default; LRU/FIFO baselines,
+  Section 3.3.2): each tier declares its link once (see
+  :class:`~repro.store.tier.StorageTier`), and every eviction is one plan
+  of :func:`~repro.store.policy.plan_evictions`, applied by the one loop
+  :meth:`AttentionStore._place`;
 * expire items whose TTL since last access has lapsed (Section 4.3.6);
 * truncate stored caches on context-window overflow — only possible when
   the KV was saved with positional encodings decoupled (Section 3.4);
@@ -48,7 +50,6 @@ from .policy import (
     LRUPolicy,
     QueueView,
     SchedulerAwarePolicy,
-    VictimSource,
     plan_evictions,
     victims_to_apply,
 )
@@ -129,7 +130,7 @@ class StoreStats:
 
 def make_policy(name: EvictionPolicyName) -> EvictionPolicy:
     """Instantiate an eviction policy by configuration name (the store sets
-    the scheduler-aware window limit on every eviction plan)."""
+    the scheduler-aware window limit when a listed eviction plan starts)."""
     if name is EvictionPolicyName.SCHEDULER_AWARE:
         return SchedulerAwarePolicy()
     if name is EvictionPolicyName.LRU:
@@ -140,8 +141,6 @@ def make_policy(name: EvictionPolicyName) -> EvictionPolicy:
 
 
 _EMPTY_QUEUE = EmptyQueueView()
-#: The HBM cache tier overflows its least-recently-used items.
-_HBM_POLICY = LRUPolicy()
 
 #: Lookup status by residency tier (module-level: the lookup hot path must
 #: not rebuild this mapping on every call).
@@ -198,6 +197,22 @@ class AttentionStore:
             Tier.DRAM, config.dram_bytes, block, log, self._pinned
         )
         self.disk_tier = StorageTier(Tier.DISK, config.ssd_bytes, block, log)
+        # The tier chain, HBM -> DRAM -> disk -> out, each link declared
+        # once (see StorageTier).  HBM overflows its least-recently-used
+        # items and exempts none: a victim moves to DRAM as it is.
+        self.policy = policy = make_policy(config.policy)
+        hbm, dram, disk = self.hbm_tier, self.dram_tier, self.disk_tier
+        hbm.below, hbm.policy, hbm.exempts_held = dram, LRUPolicy(), False
+        # DRAM lists and sizes each plan and keeps its buffer free.  A DRAM
+        # plan sets the scheduler-aware window when it starts; the disk
+        # plans it nests read that window unchanged.
+        dram.below, dram.policy = disk, policy
+        dram.headroom_bytes = int(config.dram_buffer_fraction * dram.capacity_bytes)
+        # The disk applies each plan as taken (DESIGN §8), so an item larger
+        # than a disk of nonzero capacity still evicts the disk's victims,
+        # and a disk of no capacity lists no plan and is never entered.
+        # Entering it is the SSD spill.
+        disk.policy, disk.lists_plans, disk.on_ssd = policy, False, True
         self.prefetch_planner = PrefetchPlanner(
             self._items, changes, self.dram_tier, config.prefetch_capacity_fraction
         )
@@ -221,19 +236,12 @@ class AttentionStore:
             Tier.DRAM: self.dram_tier,
             Tier.DISK: self.disk_tier,
         }
-        self.policy = make_policy(config.policy)
         self.stats = StoreStats()
         self._total_item_bytes = 0
-        # Block-granular dirty tracking: tokens of each session already
-        # written to disk, so DRAM -> disk demotion only transfers the KV
-        # blocks the disk does not hold yet (saves re-spill bandwidth when
-        # a prefetched session returns with one extra turn appended).
-        self._disk_written_tokens: dict[int, int] = {}
         # SSD items parked by wipe_volatile() while the replica is down:
-        # (item, disk_written_tokens, hash of the prefix a tail read or
-        # None) triples, off the store's books until restore_offline()
-        # re-admits them.
-        self._offline: list[tuple[KVCacheItem, int, str | None]] = []
+        # (item, hash of the prefix a tail read or None) pairs, off the
+        # store's books until restore_offline() re-admits them.
+        self._offline: list[tuple[KVCacheItem, str | None]] = []
         # Shared prefixes are items keyed by negative ids, handed out in
         # registration order; each carries its content hash and refcount.
         # ``_by_hash`` is the content index and ``_prefix_of`` maps a
@@ -392,11 +400,12 @@ class AttentionStore:
             raise ValueError(f"n_tokens must be positive, got {n_tokens}")
         # Replacing a session's item extends it by one turn; KV blocks
         # already spilled to disk stay addressable for delta write-back
-        # (lazy reclamation), so the dirty state survives the replace.  The
-        # old item is only *removed* here (the session keeps its prefix
+        # (lazy reclamation), so the written count survives the replace.
+        # The old item is only *removed* here (the session keeps its prefix
         # reference); it is restored if the replacement cannot be admitted.
         old = self._items.get(session_id)
-        old_written = 0 if old is None else self._drop(old, release_ref=False)
+        if old is not None:
+            self._drop(old, release_ref=False)
         item = self._build(
             session_id, n_tokens, Tier.DRAM, now, queue, position_decoupled
         )
@@ -404,17 +413,17 @@ class AttentionStore:
             self.stats.save_rejections += 1
             if old is not None:
                 # The refused placement evicted nothing: the room is there.
-                self._admit(old, self._tiers[old.tier], old_written)
+                self._admit(old, self._tiers[old.tier])
             if self._prefix_of and session_id not in self._items:
                 # A session holds a prefix reference only while it has a
                 # tail or a running turn, and the turn saving is ending.
                 self._release(session_id)
             return None
-        if old_written:
+        if old is not None:
             # Clamped so the delta-write-back invariant
-            # ``disk_written_tokens <= n_tokens`` holds even if the
-            # replacement shrank the item.
-            self._disk_written_tokens[session_id] = min(old_written, n_tokens)
+            # ``written_tokens <= n_tokens`` holds even if the replacement
+            # shrank the item.
+            item.written_tokens = min(old.written_tokens, n_tokens)
         return item
 
     def _build(
@@ -527,7 +536,7 @@ class AttentionStore:
                     if item.tier is Tier.DISK:
                         # Modelling shortcut: the forked prefix bytes are
                         # accounted as already spilled with the item.
-                        self._disk_written_tokens[session_id] = target
+                        item.written_tokens = target
                     self.stats.cow_forks += 1
                     self.stats.truncations += 1
                     return True
@@ -546,11 +555,9 @@ class AttentionStore:
         new_bytes = self.item_bytes(keep_tokens)
         self._total_item_bytes -= item.n_bytes - new_bytes
         self._tiers[item.tier].resize(session_id, keep_tokens, new_bytes)
-        if item.tier is Tier.DISK:
-            self._disk_written_tokens[session_id] = keep_tokens
-        else:
-            # The kept suffix no longer lines up with the spilled prefix.
-            self._disk_written_tokens.pop(session_id, None)
+        # Off disk, the kept suffix no longer lines up with the spilled
+        # prefix.
+        item.written_tokens = keep_tokens if item.tier is Tier.DISK else 0
         self.stats.truncations += 1
         return True
 
@@ -768,29 +775,8 @@ class AttentionStore:
         return self._prefix_of.get(session_id)
 
     # ------------------------------------------------------------------
-    # Placement: one eviction planner, one applier
+    # Placement: one tier chain, one loop
     # ------------------------------------------------------------------
-    def _victim_source(self, tier: StorageTier, queue: QueueView) -> VictimSource:
-        """The victim source of one eviction plan on ``tier``.  Below HBM
-        it exempts pinned sessions and referenced shared prefixes (an HBM
-        victim stays in the store, overflowing to DRAM).  A DRAM plan's
-        exemption is fixed at its start and only its own victims leave the
-        tier, so excluding those taken lists the plan before any of it
-        runs.  A disk plan, applied as taken (see :meth:`_place`), reads
-        the exemption live: a drop can release a prefix's last reference.
-        """
-        if tier is self.hbm_tier:
-            return lambda taken: _HBM_POLICY.choose_victim(tier, _EMPTY_QUEUE, taken)
-        policy = self.policy
-        if tier is self.disk_tier:
-            return lambda taken: policy.choose_victim(tier, queue, self._exempt())
-        if isinstance(policy, SchedulerAwarePolicy):
-            policy.window_limit = self.eviction_window_limit()
-        exempt = self._exempt()
-        return lambda taken: policy.choose_victim(
-            tier, queue, exempt | taken if taken else exempt
-        )
-
     def _exempt(self) -> AbstractSet[int]:
         if not self._by_hash:
             return self._pinned
@@ -800,56 +786,58 @@ class AttentionStore:
     def _place(
         self, item: KVCacheItem, tier: StorageTier, queue: QueueView, now: float
     ) -> bool:
-        """Make room for ``item`` in ``tier`` by one eviction plan, then
-        admit it there, moving it when it sits in another tier.  DRAM keeps
-        ``dram_buffer_fraction`` of its capacity free on top of the item.
+        """Make room for ``item`` (plus ``headroom_bytes``) in ``tier`` by
+        one eviction plan under the tier's declared rule, then admit it
+        there, moving it when it sits in another tier.
 
-        A DRAM or HBM plan is listed first and sized by
-        :func:`~repro.store.policy.victims_to_apply`: a placement the whole
-        plan cannot make room for evicts nothing and returns False, and one
-        that reaches the item's room but not the headroom applies only the
-        victims the item needs.  A disk plan is applied as it is taken, and
-        its victims go even when the item then does not fit.  A DRAM victim
-        is demoted to disk (itself a placement) or dropped, a disk victim is
-        dropped, and an HBM victim moves to DRAM (itself a placement) or is
-        dropped; every dropped victim counts in ``evicted_out``.
+        A listed plan is sized by :func:`~repro.store.policy.victims_to_apply`:
+        a placement the whole plan cannot make room for evicts nothing and
+        returns False, and one short of the headroom applies only the
+        victims the item needs.  A plan applied as taken evicts even when
+        the item then does not fit.  Each victim enters the tier below
+        (:meth:`_enter`), or is dropped and counted in ``evicted_out``.
         """
         block = tier.block_bytes
-        need = item.n_bytes
-        if tier is self.dram_tier:
-            capacity = tier.capacity_bytes
-            buffer = int(self.config.dram_buffer_fraction * capacity)
-            need = min(need + buffer, capacity)
         before = tier.free_blocks
         item_blocks = -(-item.n_bytes // block)
+        need = min(item.n_bytes + tier.headroom_bytes, tier.capacity_bytes)
         want = -(-need // block)
         victims: list[KVCacheItem] = []
-        # A disk plan is applied as taken, so it lists what it applies: the
-        # item each demotion adds joins the disk tier's LRU order, where the
-        # next plan may take it.
+        # A plan applied as taken lists what it applies: the item each
+        # victim adds to the tier below joins that tier's LRU order, where
+        # its next plan may take it.
         listed = victims
         if before < want:
-            plan = plan_evictions(before, want, block, self._victim_source(tier, queue))
-            check = self.victim_check
-            if tier is not self.disk_tier:
+            # Looked up on each plan, so a policy patched on its class is
+            # honoured.
+            policy = tier.policy
+            held: Callable[[], AbstractSet[int]] = (
+                self._exempt if tier.exempts_held else frozenset
+            )
+            if tier.lists_plans:
+                # The window and the exemption are fixed as the plan starts.
+                policy.window_limit = self.eviction_window_limit()
+                exempt = held()
+                held = lambda: exempt
+            plan = plan_evictions(
+                before,
+                want,
+                block,
+                lambda taken: policy.choose_victim(
+                    tier, queue, held() | taken if taken else held()
+                ),
+            )
+            if tier.lists_plans:
                 listed = list(plan)
                 count = victims_to_apply(before, item_blocks, want, block, listed)
                 plan = iter(listed[:count])
+            check = self.victim_check
+            below = tier.below
             for victim in plan:
                 if check is not None:
                     check(tier, victim)
                 victims.append(victim)
-                if tier is self.hbm_tier:
-                    # A move, not a save: flags and prefix reference stay.
-                    dram = self.dram_tier
-                    if victim.n_bytes > dram.capacity_bytes or not self._place(
-                        victim, dram, queue, now
-                    ):
-                        self._drop(victim)
-                        self.stats.evicted_out += 1
-                elif tier is self.disk_tier or not self._demote_to_disk(
-                    victim, queue, now
-                ):
+                if below is None or not self._enter(victim, below, tier, queue, now):
                     self._drop(victim)
                     self.stats.evicted_out += 1
         admitted = tier.can_fit(item.n_bytes)
@@ -865,47 +853,61 @@ class AttentionStore:
             )
         return admitted
 
-    def _demote_to_disk(self, item: KVCacheItem, queue: QueueView, now: float) -> bool:
-        """Move one DRAM item to disk, evicting from disk if needed."""
-        if self.disk_tier.capacity_bytes == 0 or not self._place(
-            item, self.disk_tier, queue, now
-        ):
+    def _enter(
+        self,
+        victim: KVCacheItem,
+        tier: StorageTier,
+        source: StorageTier,
+        queue: QueueView,
+        now: float,
+    ) -> bool:
+        """Move a victim of ``source`` into ``tier``, the tier below it: a
+        placement, which, on the SSD, is a spill that writes only the
+        tokens not yet on disk and is undone if the SSD fails.  A move
+        above the SSD is not a save: flags and prefix reference stay."""
+        if not self._place(victim, tier, queue, now):
             return False
-        # Writing the spilled KV occupies the SSD link; blocks already on
-        # disk from an earlier spill of this session are skipped.
-        already = self._disk_written_tokens.get(item.session_id, 0)
-        delta_tokens = max(0, item.n_tokens - already)
-        if delta_tokens:
-            done = self._ssd_transfer(now, self.item_bytes(delta_tokens))
-            if done is None:
-                # Spill failed (transient faults exhausted the retry
-                # budget, or the SSD breaker is open): undo the admission
-                # and let the caller degrade to dropping the victim.
-                self.disk_tier.remove(item.session_id)
-                self.dram_tier.admit(item)
-                return False
-            if self.tracer is not None:
-                self.tracer.span(
-                    "evict-spill",
-                    "store",
-                    now,
-                    done,
-                    lane="store",
-                    track=self.trace_track,
-                    args={
-                        "session": item.session_id,
-                        "bytes": self.item_bytes(delta_tokens),
-                    },
-                )
-        self._disk_written_tokens[item.session_id] = item.n_tokens
+        if not tier.on_ssd:
+            return True
+        delta = self.item_bytes(victim.n_tokens - victim.written_tokens)
+        if delta and self._over_ssd(victim, source, delta, now, "evict-spill") is None:
+            return False
+        victim.written_tokens = victim.n_tokens
         self.stats.evicted_to_disk += 1
         if self.tracer is not None:
             self._trace_occupancy(now)
         return True
 
-    def _admit(self, item: KVCacheItem, tier: StorageTier, written: int = 0) -> None:
-        """Put ``item`` on the store's books in ``tier``, with ``written``
-        of its tokens already on disk.
+    def _over_ssd(
+        self,
+        item: KVCacheItem,
+        source: StorageTier,
+        n_bytes: int,
+        now: float,
+        span: str,
+    ) -> float | None:
+        """Carry ``n_bytes`` of ``item``'s move out of ``source`` over the
+        SSD link, traced as ``span``; return the completion time, or None
+        when the transfer fails (retries exhausted or breaker open) and the
+        item has moved back to ``source``."""
+        done = self._ssd_transfer(now, n_bytes)
+        if done is None:
+            self._tiers[item.tier].remove(item.session_id)
+            source.admit(item)
+        elif self.tracer is not None:
+            self.tracer.span(
+                span,
+                "store",
+                now,
+                done,
+                lane="store",
+                track=self.trace_track,
+                args={"session": item.session_id, "bytes": n_bytes},
+            )
+        return done
+
+    def _admit(self, item: KVCacheItem, tier: StorageTier) -> None:
+        """Put ``item`` on the store's books in ``tier``.
 
         Raises:
             OutOfBlocksError: if the tier lacks the blocks; nothing changes.
@@ -913,15 +915,13 @@ class AttentionStore:
         tier.admit(item)
         self._items[item.session_id] = item
         self._total_item_bytes += item.n_bytes
-        if written:
-            self._disk_written_tokens[item.session_id] = written
 
-    def _drop(self, item: KVCacheItem, release_ref: bool = True) -> int:
-        """Take ``item`` off the store's books and out of its tier; returns
-        how many of its tokens were written to disk.  A tail's session
-        releases its prefix reference (unless ``release_ref`` is False); a
-        prefix leaves the content index, and every session reading it
-        releases its reference (they re-register on their next save)."""
+    def _drop(self, item: KVCacheItem, release_ref: bool = True) -> None:
+        """Take ``item`` off the store's books and out of its tier.  A
+        tail's session releases its prefix reference (unless
+        ``release_ref`` is False); a prefix leaves the content index, and
+        every session reading it releases its reference (they re-register
+        on their next save)."""
         sid = item.session_id
         if self._by_hash:
             if item.content_hash is not None:
@@ -933,7 +933,6 @@ class AttentionStore:
         self._tiers[item.tier].remove(sid)
         del self._items[sid]
         self._total_item_bytes -= item.n_bytes
-        return self._disk_written_tokens.pop(sid, 0)
 
     def _trace_occupancy(self, now: float) -> None:
         """Sample per-tier occupancy into the tracer (one "C" event)."""
@@ -1035,8 +1034,8 @@ class AttentionStore:
         parked = list(self.disk_tier.iter_fifo())
         for item in parked:
             item.fetch_in_flight = False
-            read = parked_hash.get(item.session_id)
-            self._offline.append((item, self._drop(item), read))
+            self._drop(item)
+            self._offline.append((item, parked_hash.get(item.session_id)))
         if self.tracer is not None:
             self._trace_occupancy(now)
         return len(volatile), len(parked)
@@ -1060,7 +1059,7 @@ class AttentionStore:
         readmitted = 0
         parked, self._offline = self._offline, []
         # Prefixes first; the sort is stable.
-        for item, written, read in sorted(
+        for item, read in sorted(
             parked, key=lambda entry: entry[0].content_hash is None
         ):
             sid = item.session_id
@@ -1076,7 +1075,7 @@ class AttentionStore:
             if not ok:
                 continue
             try:
-                self._admit(item, self.disk_tier, written)
+                self._admit(item, self.disk_tier)
             except OutOfBlocksError:
                 # Should not happen (the wipe emptied the disk tier), but
                 # degrade to a discard rather than crash the restart.
@@ -1141,27 +1140,15 @@ class AttentionStore:
             if not self._place(item, self.dram_tier, queue, now):
                 item.fetch_in_flight = False
                 continue
-            done = self._ssd_transfer(now, item.n_bytes)
+            done = self._over_ssd(item, self.disk_tier, item.n_bytes, now, "prefetch")
             if done is None:
-                # Fetch failed: put the item back on disk; a later demand
+                # Fetch failed, the item is back on disk: a later demand
                 # load (or the engine's recompute fallback) covers it.
-                self.dram_tier.remove(session_id)
-                self.disk_tier.admit(item)
                 item.fetch_in_flight = False
                 continue
             item.dram_ready_at = done
             self.stats.prefetches += 1
             self.stats.prefetched_bytes += item.n_bytes
-            if self.tracer is not None:
-                self.tracer.span(
-                    "prefetch",
-                    "store",
-                    now,
-                    done,
-                    lane="store",
-                    track=self.trace_track,
-                    args={"session": item.session_id, "bytes": item.n_bytes},
-                )
             issued.append((item.session_id, done))
         if issued and self.tracer is not None:
             self._trace_occupancy(now)
@@ -1200,15 +1187,14 @@ class AttentionStore:
         Verified invariants:
 
         * the sum of resident item sizes equals ``total_item_bytes``;
-        * every item is resident in exactly the tier it records, and in no
-          other tier;
+        * every item is resident in exactly the tier it records, and each
+          tier holds only those items (so no item sits in two tiers);
         * each tier's free blocks equal its total blocks minus
           ``ceil(n_bytes / block_bytes)`` summed over its residents, and
           never go negative (no tier exceeds its capacity);
         * the DRAM tier's pinned-byte counter equals the DRAM bytes of the
           pinned sessions, recounted;
-        * delta-write-back state refers only to stored sessions and never
-          exceeds the item's token count;
+        * an item's delta-write-back count never exceeds its token count;
         * shared-prefix bookkeeping is closed: the content index holds
           exactly the resident items that carry a hash, every reference
           points at an indexed prefix, and each prefix's refcount equals
@@ -1225,17 +1211,14 @@ class AttentionStore:
             assert item.session_id == session_id, (
                 f"item keyed {session_id} claims session {item.session_id}"
             )
-            home = self._tiers[item.tier]
-            assert home.get(session_id) is item, (
+            assert self._tiers[item.tier].get(session_id) is item, (
                 f"session {session_id} not resident in recorded tier "
                 f"{item.tier.value}"
             )
-            for tier in tiers:
-                if tier is not home:
-                    assert session_id not in tier, (
-                        f"session {session_id} resident in both "
-                        f"{item.tier.value} and {tier.tier.value}"
-                    )
+            assert 0 <= item.written_tokens <= item.n_tokens, (
+                f"session {session_id}: written_tokens {item.written_tokens} "
+                f"outside 0..n_tokens {item.n_tokens}"
+            )
             total += item.n_bytes
         assert total == self._total_item_bytes, (
             f"sum of item bytes {total} != total_item_bytes "
@@ -1244,7 +1227,7 @@ class AttentionStore:
         for tier in tiers:
             assert len(tier) == sum(
                 1 for item in self._items.values() if item.tier is tier.tier
-            ), f"tier {tier.tier.value} holds items the store does not track"
+            ), f"tier {tier.tier.value} holds items the store does not track there"
             block = tier.block_bytes
             used = sum(-(-item.n_bytes // block) for item in tier.iter_fifo())
             assert tier.free_blocks == tier.total_blocks - used, (
@@ -1265,17 +1248,7 @@ class AttentionStore:
             f"DRAM pinned-byte counter {self.dram_tier.pinned_bytes} != "
             f"pinned sessions' DRAM bytes {pinned_bytes}"
         )
-        for session_id, written in self._disk_written_tokens.items():
-            assert written > 0, f"session {session_id} has zero dirty tokens"
-            item = self._items.get(session_id)
-            assert item is not None, (
-                f"dirty-token state for unknown session {session_id}"
-            )
-            assert written <= item.n_tokens, (
-                f"session {session_id}: disk_written_tokens {written} > "
-                f"n_tokens {item.n_tokens}"
-            )
-        for item, _written, _hash in self._offline:
+        for item, _hash in self._offline:
             assert item.session_id not in self._items, (
                 f"session {item.session_id} both resident and parked offline"
             )

@@ -45,6 +45,9 @@ class KVCacheItem:
         content_hash: a shared prefix's content hash (None for a tail).
         refcount: sessions reading this shared prefix; while positive the
             item is exempt from eviction and TTL expiry.
+        written_tokens: tokens of this item an earlier spill already wrote
+            to disk, so the next spill writes only the rest (delta
+            write-back); a replacement carries it forward.
     """
 
     session_id: int
@@ -59,6 +62,7 @@ class KVCacheItem:
     fetch_in_flight: bool = field(default=False)
     content_hash: str | None = None
     refcount: int = 0
+    written_tokens: int = 0
 
     def __post_init__(self) -> None:
         if self.n_tokens <= 0:

@@ -121,6 +121,9 @@ class EvictionPolicy(ABC):
     """Chooses the next eviction victim in a tier."""
 
     name: str = "abstract"
+    #: The look-ahead eviction window (§3.3.2), set by the store when a
+    #: listed plan starts; only the scheduler-aware policy reads it.
+    window_limit: int | None = None
 
     @abstractmethod
     def choose_victim(

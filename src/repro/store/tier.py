@@ -21,9 +21,12 @@ budget reads it instead of recounting the pinned sessions.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterator, KeysView, Mapping
+from typing import TYPE_CHECKING, AbstractSet, Iterator, KeysView, Mapping
 
 from .item import KVCacheItem, Tier
+
+if TYPE_CHECKING:
+    from .policy import EvictionPolicy
 
 
 class OutOfBlocksError(Exception):
@@ -31,7 +34,24 @@ class OutOfBlocksError(Exception):
 
 
 class StorageTier:
-    """One level of the AttentionStore hierarchy (HBM, DRAM or disk)."""
+    """One level of the AttentionStore hierarchy (HBM, DRAM or disk).  The
+    attributes ``below`` to ``on_ssd`` are its link in the store's tier
+    chain, HBM -> DRAM -> disk -> out, which ``AttentionStore._place`` walks."""
+
+    #: The tier this tier's eviction victims enter; None drops them.
+    below: StorageTier | None = None
+    #: Chooses this tier's eviction victims.
+    policy: EvictionPolicy
+    #: Whether pinned sessions and referenced shared prefixes are exempt.
+    exempts_held = True
+    #: Whether a plan is listed and sized before any victim is applied (its
+    #: exemption fixed as it starts), or each victim is applied as it is
+    #: taken (the exemption read live: a drop can release a reference).
+    lists_plans = True
+    #: Bytes kept free on top of an item placed here.
+    headroom_bytes = 0
+    #: Whether entering the tier writes the item's KV over the SSD link.
+    on_ssd = False
 
     def __init__(
         self,

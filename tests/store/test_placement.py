@@ -376,7 +376,8 @@ def assert_same(store, model):
             assert stored.fetch_in_flight == item.fetch_in_flight, sid
     assert len(store) == len(model.items)
     assert store.ssd.bytes_moved == model.ssd_bytes
-    assert store._disk_written_tokens == model.written
+    written = {sid: store.get(sid).written_tokens for sid in store.resident_sessions()}
+    assert {sid: w for sid, w in written.items() if w} == model.written
     stats = store.stats
     assert stats.evicted_to_disk == model.evicted_to_disk
     assert stats.evicted_out == model.evicted_out
