@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import EvictionPolicyName, StoreConfig
-from repro.sim import Channel
+from repro.sanitize import for_simulator
+from repro.sim import Channel, Simulator
 from repro.store import (
     AttentionStore,
     ListQueueView,
@@ -199,6 +200,27 @@ class TestEvictionCascade:
         assert store.stats.evicted_out == 1
         assert 0 not in store
 
+    def test_disk_plan_runs_as_taken(self):
+        """A demotion the disk cannot take still drops the disk victims it
+        took: the disk plan is applied as taken, not listed and sized."""
+        config = StoreConfig(
+            dram_bytes=25 * KB,
+            ssd_bytes=20 * KB,
+            block_bytes=KB,
+            dram_buffer_fraction=0.0,
+        )
+        store = AttentionStore(config, KB, Channel("ssd", 1e9))
+        for sid, tokens in ((1, 10), (2, 10), (3, 15), (4, 10)):
+            store.save(sid, tokens, now=float(sid))  # spills 1, then 2
+        store.pin(1)
+        # Session 3 (15 blocks) leaves DRAM; the disk takes session 2 (10
+        # blocks) for it, cannot take pinned session 1, and drops 3 too.
+        store.save(5, 15, now=5.0)
+        assert 2 not in store and 3 not in store
+        assert store.get(1).tier is Tier.DISK
+        assert store.stats.evicted_out == 2
+        store.check_invariants()
+
     def test_scheduler_aware_protects_queued(self):
         store = make_store(dram_items=2)
         store.save(1, 10, now=0.0)
@@ -339,6 +361,29 @@ class TestWindows:
         capacity = store.dram_tier.capacity_bytes + store.disk_tier.capacity_bytes
         assert store.eviction_window_limit() == int(capacity / store.avg_item_bytes)
 
+    def test_nested_disk_plan_reads_the_dram_plans_window(self):
+        """The window is set once, as the DRAM plan starts (five sessions
+        averaging 9 KB: (20 + 25) / 9 = 5); the disk plans of its demotions
+        read it unchanged, though the first one's drop of a 15 KB item
+        would make it 6 and shelter session 3, sixth in the queue."""
+        config = StoreConfig(
+            dram_bytes=20 * KB,
+            ssd_bytes=25 * KB,
+            block_bytes=KB,
+            dram_buffer_fraction=0.0,
+        )
+        store = AttentionStore(config, KB, Channel("ssd", 1e9))
+        for sid, tokens in ((1, 15), (2, 5), (3, 5), (4, 10), (5, 10)):
+            store.save(sid, tokens, now=float(sid))  # spills 1, 2 and 3
+        assert list(store.disk_tier.lru_order()) == [1, 2, 3]
+        queue = ListQueueView([10, 11, 12, 13, 2, 3])
+        # Sessions 4 and 5 leave DRAM: 4's disk plan drops session 1 (no
+        # waiting job), 5's drops session 3 (outside the window of 5).
+        store.save(6, 20, now=6.0, queue=queue)
+        assert list(store.disk_tier.lru_order()) == [2, 4, 5]
+        assert 1 not in store and 3 not in store
+        store.check_invariants()
+
     def test_avg_item_bytes_default(self):
         store = make_store()
         assert store.avg_item_bytes == 2048.0 * KB
@@ -387,6 +432,39 @@ class TestHBMCacheTier:
         assert len(store) == 1
         # The victim left the store, so it counts as evicted out.
         assert store.stats.evicted_out == 1
+
+    def test_one_save_walks_the_whole_chain(self):
+        """HBM overflow -> DRAM placement -> disk spill -> disk drop, in one
+        save, with SimSan checking every plan of the walk."""
+        config = StoreConfig(
+            hbm_cache_bytes=10 * KB,
+            dram_bytes=20 * KB,
+            ssd_bytes=22 * KB,
+            block_bytes=KB,
+            dram_buffer_fraction=0.0,
+        )
+        store = AttentionStore(config, KB, Channel("ssd", 1e9))
+        for_simulator(Simulator()).install_store(store)
+        for sid in (1, 2, 3):  # session 1 spills its 10 tokens
+            store.save(sid, 10, now=float(sid))
+        # Session 1 returns grown to 12 tokens, 10 of them still on disk;
+        # its room in DRAM spills sessions 2 and 3, filling 20 of 22 disk
+        # blocks.
+        store.save(1, 12, now=4.0)
+        store.save_to_hbm_cache(4, 10, now=5.0)
+        assert store.ssd.bytes_moved == 30 * KB
+        assert store.stats.evicted_to_disk == 3
+        # Session 5 overflows HBM: session 4 moves to DRAM, whose room
+        # spills session 1, whose room on disk drops session 2.
+        store.save_to_hbm_cache(5, 10, now=6.0)
+        tiers = {sid: store.get(sid).tier for sid in store.resident_sessions()}
+        assert tiers == {5: Tier.HBM, 4: Tier.DRAM, 1: Tier.DISK, 3: Tier.DISK}
+        assert store.stats.evicted_to_disk == 4
+        assert store.stats.evicted_out == 1
+        # The spill wrote only the 2 tokens disk did not hold yet.
+        assert store.ssd.bytes_moved == 32 * KB
+        assert store.get(1).written_tokens == 12
+        store.check_invariants()
 
     def test_without_hbm_tier_delegates_to_dram(self):
         store = make_store()
