@@ -811,9 +811,9 @@ class AttentionStore:
             # Looked up on each plan, so a policy patched on its class is
             # honoured.
             policy = tier.policy
-            held: Callable[[], AbstractSet[int]] = (
-                self._exempt if tier.exempts_held else frozenset
-            )
+            held: Callable[[], AbstractSet[int]] = self._exempt
+            if not tier.exempts_held:
+                held = frozenset
             if tier.lists_plans:
                 # The window and the exemption are fixed as the plan starts.
                 policy.window_limit = self.eviction_window_limit()
@@ -1205,7 +1205,6 @@ class AttentionStore:
         Raises:
             AssertionError: on any violation.
         """
-        tiers = (self.hbm_tier, self.dram_tier, self.disk_tier)
         total = 0
         for session_id, item in self._items.items():
             assert item.session_id == session_id, (
@@ -1224,7 +1223,7 @@ class AttentionStore:
             f"sum of item bytes {total} != total_item_bytes "
             f"{self._total_item_bytes}"
         )
-        for tier in tiers:
+        for tier in self._tiers.values():
             assert len(tier) == sum(
                 1 for item in self._items.values() if item.tier is tier.tier
             ), f"tier {tier.tier.value} holds items the store does not track there"

@@ -130,7 +130,7 @@ class TestRejectedReplaceKeepsOldItem:
         before = store.ssd.bytes_moved
         store.save(4, 10, now=6.0)
         store.save(5, 10, now=7.0)
-        assert store.ssd.bytes_moved - before <= 12 * KB
+        assert store.ssd.bytes_moved - before == 2 * KB
         store.check_invariants()
 
 
