@@ -13,8 +13,8 @@ simulated event:
   dirty-token state);
 * every applied eviction plan takes only victims its tier's rule allows,
   applies none for a refused placement and only the item's own room when
-  the headroom is out of reach in a tier that lists its plans, and
-  conserves the tier's free blocks (:func:`check_placement`);
+  the headroom is out of reach in every tier but the last, and conserves
+  the tier's free blocks (:func:`check_placement`);
 * every §3.3.1 prefetch plan equals the reference window walk
   (:func:`~repro.store.prefetch.plan_prefetches`), and the incremental
   planner's state — charges, prefix sums, disk candidates — equals a
@@ -343,19 +343,20 @@ def check_placement(
 ) -> None:
     """Assert an eviction plan was sized and conserved ``tier``'s blocks.
 
-    In a tier that lists its plans, the applied victims are: none when all
+    In every tier but the last, the applied victims are: none when all
     ``listed`` leave fewer than ``item_blocks`` free (a refused placement
     evicts nothing); the shortest prefix that frees ``item_blocks`` when
-    all of them fall short of ``want``; else all of them.  (A plan applied
-    as taken lists what it applied.)  On every tier, the free blocks now
-    equal those ``before`` the plan, plus the applied victims' blocks,
-    minus the item's blocks when it was ``admitted``."""
+    all of them fall short of ``want``; else all of them.  (The last
+    tier's plan is applied as taken, so it lists what it applied.)  On
+    every tier, the free blocks now equal those ``before`` the plan, plus
+    the applied victims' blocks, minus the item's blocks when it was
+    ``admitted``."""
     block = tier.block_bytes
 
     def reach(victims: list[KVCacheItem]) -> int:
         return before + sum(-(-victim.n_bytes // block) for victim in victims)
 
-    if tier.lists_plans:
+    if tier.below is not None:
         full = reach(listed)
         if full < item_blocks:
             sized = not applied

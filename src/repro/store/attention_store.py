@@ -208,11 +208,11 @@ class AttentionStore:
         # plans it nests read that window unchanged.
         dram.below, dram.policy = disk, policy
         dram.headroom_bytes = int(config.dram_buffer_fraction * dram.capacity_bytes)
-        # The disk applies each plan as taken (DESIGN §8), so an item larger
-        # than a disk of nonzero capacity still evicts the disk's victims,
-        # and a disk of no capacity lists no plan and is never entered.
-        # Entering it is the SSD spill.
-        disk.policy, disk.lists_plans, disk.on_ssd = policy, False, True
+        # The disk, the last tier, applies each plan as taken (DESIGN §8),
+        # so an item larger than a disk of nonzero capacity still evicts
+        # the disk's victims, and a disk of no capacity lists no plan and
+        # is never entered.  Entering it is the SSD spill.
+        disk.policy = policy
         self.prefetch_planner = PrefetchPlanner(
             self._items, changes, self.dram_tier, config.prefetch_capacity_fraction
         )
@@ -790,12 +790,13 @@ class AttentionStore:
         one eviction plan under the tier's declared rule, then admit it
         there, moving it when it sits in another tier.
 
-        A listed plan is sized by :func:`~repro.store.policy.victims_to_apply`:
-        a placement the whole plan cannot make room for evicts nothing and
-        returns False, and one short of the headroom applies only the
-        victims the item needs.  A plan applied as taken evicts even when
-        the item then does not fit.  Each victim enters the tier below
-        (:meth:`_enter`), or is dropped and counted in ``evicted_out``.
+        A listed plan (on every tier but the last) is sized by
+        :func:`~repro.store.policy.victims_to_apply`: a placement the whole
+        plan cannot make room for evicts nothing and returns False, and one
+        short of the headroom applies only the victims the item needs.  A
+        plan applied as taken evicts even when the item then does not fit.
+        Each victim enters the tier below (:meth:`_enter`), or is dropped
+        and counted in ``evicted_out``.
         """
         block = tier.block_bytes
         before = tier.free_blocks
@@ -803,18 +804,18 @@ class AttentionStore:
         need = min(item.n_bytes + tier.headroom_bytes, tier.capacity_bytes)
         want = -(-need // block)
         victims: list[KVCacheItem] = []
-        # A plan applied as taken lists what it applies: the item each
-        # victim adds to the tier below joins that tier's LRU order, where
-        # its next plan may take it.
+        # The last tier's plan, applied as taken, lists what it applies: a
+        # demoted item joins that tier's LRU order, where its next plan may take it.
         listed = victims
         if before < want:
-            # Looked up on each plan, so a policy patched on its class is
-            # honoured.
+            # Looked up per plan, so a policy patched on its class is honoured.
             policy = tier.policy
             held: Callable[[], AbstractSet[int]] = self._exempt
             if not tier.exempts_held:
                 held = frozenset
-            if tier.lists_plans:
+            # Every tier but the last lists and sizes its plan.
+            below = tier.below
+            if below is not None:
                 # The window and the exemption are fixed as the plan starts.
                 policy.window_limit = self.eviction_window_limit()
                 exempt = held()
@@ -827,12 +828,11 @@ class AttentionStore:
                     tier, queue, held() | taken if taken else held()
                 ),
             )
-            if tier.lists_plans:
+            if below is not None:
                 listed = list(plan)
                 count = victims_to_apply(before, item_blocks, want, block, listed)
                 plan = iter(listed[:count])
             check = self.victim_check
-            below = tier.below
             for victim in plan:
                 if check is not None:
                     check(tier, victim)
@@ -862,12 +862,13 @@ class AttentionStore:
         now: float,
     ) -> bool:
         """Move a victim of ``source`` into ``tier``, the tier below it: a
-        placement, which, on the SSD, is a spill that writes only the
-        tokens not yet on disk and is undone if the SSD fails.  A move
-        above the SSD is not a save: flags and prefix reference stay."""
+        placement, which, into the last tier (the SSD), is a spill that
+        writes only the tokens not yet on disk and is undone if the SSD
+        fails.  A move above the SSD is not a save: flags and prefix
+        reference stay."""
         if not self._place(victim, tier, queue, now):
             return False
-        if not tier.on_ssd:
+        if tier.below is not None:
             return True
         delta = self.item_bytes(victim.n_tokens - victim.written_tokens)
         if delta and self._over_ssd(victim, source, delta, now, "evict-spill") is None:

@@ -263,16 +263,18 @@ def victims_to_apply(
     """How many of a listed plan's ``victims`` its placement applies.
 
     Zero when all of them still leave fewer than ``item_blocks`` free: the
-    placement is refused, and evicting would gain nothing.  When all of
-    them reach the item but not ``want_blocks`` (its room plus headroom),
-    the shortest prefix that frees the item's room.  Otherwise all.
+    placement is refused, and evicting would gain nothing (tested first:
+    ``want_blocks``, capped at the tier's capacity, can be the smaller).
+    When all of them reach the item but not ``want_blocks`` (its room plus
+    headroom), the shortest prefix that frees the item's room.  Otherwise
+    all.
     """
     sizes = [-(-victim.n_bytes // block_bytes) for victim in victims]
     reach = free_blocks + sum(sizes)
-    if reach >= want_blocks:
-        return len(victims)
     if reach < item_blocks:
         return 0
+    if reach >= want_blocks:
+        return len(victims)
     count = 0
     while free_blocks < item_blocks:
         free_blocks += sizes[count]

@@ -35,23 +35,20 @@ class OutOfBlocksError(Exception):
 
 class StorageTier:
     """One level of the AttentionStore hierarchy (HBM, DRAM or disk).  The
-    attributes ``below`` to ``on_ssd`` are its link in the store's tier
-    chain, HBM -> DRAM -> disk -> out, which ``AttentionStore._place`` walks."""
+    attributes ``below`` to ``headroom_bytes`` are its link in the store's
+    tier chain, HBM -> DRAM -> disk -> out, walked by ``AttentionStore._place``."""
 
-    #: The tier this tier's eviction victims enter; None drops them.
+    #: The tier this tier's eviction victims enter.  None marks the last
+    #: tier, the disk: its victims leave the store, its plans are applied as
+    #: taken (the exemption read live: a drop can release a reference) where
+    #: other tiers list theirs first, and entering it is the SSD spill.
     below: StorageTier | None = None
     #: Chooses this tier's eviction victims.
     policy: EvictionPolicy
     #: Whether pinned sessions and referenced shared prefixes are exempt.
     exempts_held = True
-    #: Whether a plan is listed and sized before any victim is applied (its
-    #: exemption fixed as it starts), or each victim is applied as it is
-    #: taken (the exemption read live: a drop can release a reference).
-    lists_plans = True
     #: Bytes kept free on top of an item placed here.
     headroom_bytes = 0
-    #: Whether entering the tier writes the item's KV over the SSD link.
-    on_ssd = False
 
     def __init__(
         self,

@@ -433,6 +433,29 @@ class TestHBMCacheTier:
         # The victim left the store, so it counts as evicted out.
         assert store.stats.evicted_out == 1
 
+    def test_hbm_victim_larger_than_dram_evicts_nothing(self):
+        """An HBM victim DRAM can never hold is dropped without evicting
+        DRAM's residents: a refused placement evicts nothing (SimSan
+        checks the plan)."""
+        config = StoreConfig(
+            hbm_cache_bytes=10 * KB,
+            dram_bytes=5 * KB,
+            ssd_bytes=100 * KB,
+            block_bytes=KB,
+            dram_buffer_fraction=0.0,
+        )
+        store = AttentionStore(config, KB, Channel("ssd", 1e9))
+        for_simulator(Simulator()).install_store(store)
+        store.save(1, 5, now=0.0)
+        store.save_to_hbm_cache(2, 8, now=1.0)
+        store.save_to_hbm_cache(3, 8, now=2.0)
+        assert store.get(1).tier is Tier.DRAM
+        assert store.get(2) is None and store.get(3).tier is Tier.HBM
+        assert store.ssd.bytes_moved == 0
+        assert store.stats.evicted_to_disk == 0
+        assert store.stats.evicted_out == 1
+        store.check_invariants()
+
     def test_one_save_walks_the_whole_chain(self):
         """HBM overflow -> DRAM placement -> disk spill -> disk drop, in one
         save, with SimSan checking every plan of the walk."""

@@ -85,13 +85,16 @@ class TestVictimsToApply:
         sizes=st.lists(st.integers(1, 5 * BLOCK), max_size=8),
         free=st.integers(0, 10),
         item=st.integers(1, 20),
-        headroom=st.integers(0, 10),
+        headroom=st.integers(-10, 10),
     )
     def test_matches_the_rule(self, sizes, free, item, headroom):
         """No victim when the whole plan leaves the item no room, all when
-        it reaches ``want``, else the shortest prefix that fits the item."""
+        it reaches ``want``, else the shortest prefix that fits the item.
+        A negative headroom stands for a ``want`` capped at a capacity the
+        item exceeds: such a plan may reach ``want`` and still applies
+        nothing."""
         victims = [KVCacheItem(sid, 1, n, Tier.DRAM) for sid, n in enumerate(sizes)]
-        want = item + headroom
+        want = max(item + headroom, 0)
         reach = free + sum(blocks(n) for n in sizes)
         if reach < item:
             expected = 0
