@@ -54,7 +54,7 @@ def test_fig24_storage_mediums(benchmark):
             title="Figure 24 — caching storage mediums",
         )
     )
-    clear_wins = 0
+    clear_wins = read_back = 0
     for name in EVAL_MODEL_NAMES:
         hbm = results[(name, "HBM only")].summary
         dram = results[(name, "HBM+DRAM")].summary
@@ -68,6 +68,7 @@ def test_fig24_storage_mediums(benchmark):
         # fits DRAM, or spilled items no later turn reads — the rows match.
         if full_run.store_stats.prefetches + full.hits_disk > 0:
             assert dram.hit_rate < full.hit_rate, name
+            read_back += 1
         else:
             assert dram.hit_rate == full.hit_rate, name
         # GPU time: the SSD tier wins for every model except (at most)
@@ -77,3 +78,6 @@ def test_fig24_storage_mediums(benchmark):
         if full.gpu_time < hbm.gpu_time:
             clear_wins += 1
     assert clear_wins >= 3
+    # The SSD tier is what delivers the high hit rates: it reads back, and
+    # so lifts the hit rate, for most models.
+    assert read_back >= 3
