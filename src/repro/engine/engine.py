@@ -42,7 +42,7 @@ from ..sanitize import (
     install_engine,
     sanitize_enabled,
 )
-from ..sim.channel import Channel, ChannelPair, FaultyTransfer
+from ..sim.channel import Channel, ChannelPair
 from ..sim.loop import Simulator
 from ..store.attention_store import (
     AttentionStore,
@@ -169,12 +169,12 @@ class ServingEngine:
         # An inert fault config (all rates zero) builds no injector, so
         # default runs take the exact pre-fault code paths.
         self.fault_config: FaultConfig | None = None
-        self.faults: FaultInjector | None = None
+        faults: FaultInjector | None = None
         if fault_config is not None and fault_config.enabled:
             self.fault_config = fault_config
-            self.faults = FaultInjector(fault_config)
+            faults = FaultInjector(fault_config)
             for channel in (self.pcie_h2d, self.pcie_d2h, self.ssd):
-                channel.fault_hook = self.faults
+                channel.fault_hook = faults
 
         self.store: AttentionStore | None = None
         if self.config.mode is ServingMode.CACHED:
@@ -182,7 +182,7 @@ class ServingEngine:
                 store_config or StoreConfig(),
                 model.kv_bytes_per_token,
                 ssd_channel=self.ssd,
-                fault_injector=self.faults,
+                fault_injector=faults,
             )
 
         self.queue = SchedulerQueue()
@@ -524,7 +524,6 @@ class ServingEngine:
             new_tokens=new_tokens,
             reused_tokens=plan.reused,
             generated_tokens=generate,
-            ttft=duration,
             prefill_gpu_time=duration,
             dropped_tokens=kept.dropped_tokens,
             shared_hit_tokens=plan.shared,
@@ -675,14 +674,13 @@ class ServingEngine:
         for lookup, n_tokens in plan.loads:
             if lookup.status is LookupStatus.HIT_HBM:
                 continue
+            assert store is not None  # every load is a store lookup's
             n_bytes = self.model.kv_bytes(n_tokens)
             if lookup.status is LookupStatus.HIT_DRAM:
                 start = max(now, lookup.ready_at)
-                done = self._fault_tolerant_transfer(self.pcie_h2d, start, n_bytes)
-            elif store is None or store.ssd_available(now):
-                done = self._fault_tolerant_transfer(self.disk_path, now, n_bytes)
+                done = store.transfer(self.pcie_h2d, start, n_bytes)
             else:
-                done = None  # the SSD breaker is open
+                done = store.transfer(self.disk_path, now, n_bytes)
             if done is None:
                 failed = True
             else:
@@ -697,51 +695,6 @@ class ServingEngine:
         if plan.outcome is TurnOutcome.FALLBACK_RECOMPUTE and store is not None:
             store.stats.fallback_recomputes += 1
         return plan, load_time
-
-    def _fault_tolerant_transfer(
-        self, link: Channel | ChannelPair, start: float, n_bytes: int
-    ) -> float | None:
-        """Run one engine-side transfer, absorbing injected faults.
-
-        Without an injector this is a plain ``link.transfer``.  With one,
-        transient failures are retried with capped exponential backoff up
-        to the configured budget; SSD failures additionally feed the
-        store's SSD health breaker.  Returns the completion time, or None
-        when the transfer could not be completed.
-        """
-        if self.faults is None:
-            return link.transfer(start, n_bytes)
-        fc = self.faults.config
-        stats = self.store.stats if self.store is not None else None
-        health = self.store.ssd_health if self.store is not None else None
-        attempt = 0
-        t = start
-        while True:
-            try:
-                done = link.transfer(t, n_bytes)
-            except FaultyTransfer as fault:
-                if stats is not None:
-                    stats.transfer_faults += 1
-                if fault.channel == "ssd" and health is not None:
-                    if health.record_failure(t):
-                        if stats is not None:
-                            stats.breaker_trips += 1
-                        return None
-                if attempt >= fc.max_retries:
-                    return None
-                attempt += 1
-                if stats is not None:
-                    stats.transfer_retries += 1
-                t = max(t, fault.busy_until) + fc.backoff(attempt)
-                continue
-            if (
-                isinstance(link, ChannelPair)
-                and health is not None
-                and health.record_success()
-                and stats is not None
-            ):
-                stats.breaker_recoveries += 1
-            return done
 
     def _on_prefill_done(self, job: ActiveJob) -> None:
         self._gpu_release()
@@ -944,7 +897,7 @@ class ServingEngine:
         delta_tokens = record.new_tokens + record.generated_tokens
         n_bytes, save_time = self._save_cost(delta_tokens)
         moved = self.pcie_d2h.bytes_moved
-        done = self._fault_tolerant_transfer(self.pcie_d2h, now, n_bytes)
+        done = self.store.transfer(self.pcie_d2h, now, n_bytes)
         if done is None:
             # The write-back failed: the stored copy is incomplete, so the
             # turn degrades to "not retained" — drop it and move on

@@ -73,7 +73,6 @@ class TurnRecord:
     new_tokens: int  # tokens actually prefilled (computed)
     reused_tokens: int  # tokens loaded from AttentionStore
     generated_tokens: int
-    ttft: float  # prefill execution time
     prefill_gpu_time: float
     decode_gpu_share: float = 0.0
     save_block_time: float = 0.0
@@ -83,6 +82,11 @@ class TurnRecord:
     #: prefix block rather than the session's private cache.
     shared_hit_tokens: int = 0
     in_eval_window: bool = True
+
+    @property
+    def ttft(self) -> float:
+        """Time to first token: the prefill's execution time."""
+        return self.prefill_gpu_time
 
     @property
     def queue_delay(self) -> float:
@@ -178,7 +182,6 @@ class EvalTotals:
     outcomes: dict[TurnOutcome, int] = field(
         default_factory=lambda: dict.fromkeys(TurnOutcome, 0)
     )
-    ttft: float = 0.0
     queue_delay: float = 0.0
     prompt_tokens: int = 0
     new_tokens: int = 0
@@ -193,7 +196,6 @@ class EvalTotals:
     def add(self, record: TurnRecord) -> None:
         self.n_turns += 1
         self.outcomes[record.outcome] += 1
-        self.ttft += record.ttft
         self.queue_delay += record.queue_delay
         self.prompt_tokens += record.prompt_tokens
         self.new_tokens += record.new_tokens
@@ -342,7 +344,7 @@ class MetricsCollector:
             hits_shared=counts[TurnOutcome.HIT_SHARED],
             misses=counts[TurnOutcome.MISS],
             fallbacks=counts[TurnOutcome.FALLBACK_RECOMPUTE],
-            mean_ttft=totals.ttft / n if n else 0.0,
+            mean_ttft=totals.prefill_gpu_time / n if n else 0.0,
             p95_ttft=p95_ttft,
             mean_queue_delay=totals.queue_delay / n if n else 0.0,
             prompt_tokens_total=totals.prompt_tokens,

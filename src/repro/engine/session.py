@@ -24,8 +24,6 @@ class SessionState:
     conversation: Conversation
     next_turn: int = 0
     history_tokens: int = 0
-    truncated_tokens_total: int = 0
-    overflow_events: int = 0
     #: Content hash of the conversation's shared prefix, computed lazily
     #: by the engine on the first prefill of a prefix-bearing session.
     shared_hash: str | None = None
@@ -68,8 +66,6 @@ class SessionState:
         if dropped_tokens < 0:
             raise ValueError(f"dropped_tokens must be >= 0, got {dropped_tokens}")
         if dropped_tokens:
-            self.truncated_tokens_total += dropped_tokens
-            self.overflow_events += 1
             self.history_tokens -= dropped_tokens
             if self.history_tokens < 0:
                 raise RuntimeError("truncated more history than the session has")

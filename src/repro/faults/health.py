@@ -33,8 +33,6 @@ class TierHealth:
         self.cooldown = cooldown
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
-        self.trips = 0
-        self.recoveries = 0
         self._opened_at = 0.0
 
     def allows(self, now: float) -> bool:
@@ -58,7 +56,6 @@ class TierHealth:
             # The recovery probe failed: re-open for another cooldown.
             self.state = BreakerState.OPEN
             self._opened_at = now
-            self.trips += 1
             return True
         if (
             self.state is BreakerState.CLOSED
@@ -66,7 +63,6 @@ class TierHealth:
         ):
             self.state = BreakerState.OPEN
             self._opened_at = now
-            self.trips += 1
             return True
         return False
 
@@ -76,6 +72,5 @@ class TierHealth:
         self.consecutive_failures = 0
         if self.state is not BreakerState.CLOSED:
             self.state = BreakerState.CLOSED
-            self.recoveries += 1
             return True
         return False

@@ -16,14 +16,16 @@ from .config import FaultConfig
 
 
 class FaultInjector:
-    """Draws fault decisions from one seeded RNG and counts injections."""
+    """Draws fault decisions from one seeded RNG."""
 
     def __init__(self, config: FaultConfig) -> None:
         self.config = config
         self._rng = random.Random(config.seed)
-        self.injected_transfer_faults = 0
-        self.injected_corruptions = 0
-        self.injected_losses = 0
+
+    def _draw(self, rate: float) -> bool:
+        """One decision at ``rate``; a zero rate draws nothing, so a fault
+        class that is off does not shift the others' decision streams."""
+        return rate > 0.0 and self._rng.random() < rate
 
     # ------------------------------------------------------------------
     # Channel fault-hook protocol
@@ -39,13 +41,7 @@ class FaultInjector:
 
     def transfer_fails(self, channel: str, now: float) -> bool:
         """Decide whether this transfer suffers a transient failure."""
-        rate = self._rate_for(channel)
-        if rate <= 0.0:
-            return False
-        if self._rng.random() < rate:
-            self.injected_transfer_faults += 1
-            return True
-        return False
+        return self._draw(self._rate_for(channel))
 
     def bandwidth_factor(self, channel: str, now: float) -> float:
         """Effective-bandwidth multiplier at ``now`` (degradation windows).
@@ -64,18 +60,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def corrupts_save(self) -> bool:
         """Decide whether a just-saved KV item is corrupt on next load."""
-        if self.config.corruption_rate <= 0.0:
-            return False
-        if self._rng.random() < self.config.corruption_rate:
-            self.injected_corruptions += 1
-            return True
-        return False
+        return self._draw(self.config.corruption_rate)
 
     def loses_save(self) -> bool:
         """Decide whether a just-saved KV item is silently lost."""
-        if self.config.loss_rate <= 0.0:
-            return False
-        if self._rng.random() < self.config.loss_rate:
-            self.injected_losses += 1
-            return True
-        return False
+        return self._draw(self.config.loss_rate)

@@ -18,9 +18,11 @@ Responsibilities (Section 3 of the paper):
   the KV was saved with positional encodings decoupled (Section 3.4);
 * degrade gracefully under injected faults: items are validated at lookup
   (corrupt caches are never served — ``MISS_CORRUPT`` triggers a recompute
-  fallback upstream), transient SSD failures are retried with capped
-  exponential backoff, and a circuit breaker bypasses a sick SSD entirely
-  (DRAM-only operation with recovery probes);
+  fallback upstream), every KV transfer — the engine's PCIe loads, saves
+  and disk loads as well as the store's spills and prefetches — runs
+  through the one retry loop :meth:`AttentionStore.transfer` (capped
+  exponential backoff), and a circuit breaker fed by SSD faults bypasses
+  a sick SSD entirely (DRAM-only operation with recovery probes);
 * deduplicate *shared prefixes* across sessions (system prompts, few-shot
   templates) with one segment model: a session's tail and the prefix it
   reads are items alike, placed, looked up and released by the same
@@ -29,8 +31,8 @@ Responsibilities (Section 3 of the paper):
   into the tail when a session's history diverges (see
   :mod:`repro.store.sharing` and DESIGN.md §15).
 
-Transfer *timing* is modelled via the SSD channel passed in; the engine
-owns PCIe timing for HBM loads.
+Transfer *timing* is modelled by the channels: the SSD channel passed in,
+and the engine's PCIe channels, which it hands to :meth:`transfer`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING, AbstractSet, Callable, KeysView
 
 from ..config import EvictionPolicyName, StoreConfig
 from ..faults import FaultInjector, TierHealth
-from ..sim.channel import Channel, FaultyTransfer
+from ..sim.channel import Channel, ChannelPair, FaultyTransfer
 from .item import KVCacheItem, Tier
 from .policy import (
     EmptyQueueView,
@@ -891,7 +893,7 @@ class AttentionStore:
         SSD link, traced as ``span``; return the completion time, or None
         when the transfer fails (retries exhausted or breaker open) and the
         item has moved back to ``source``."""
-        done = self._ssd_transfer(now, n_bytes)
+        done = self.transfer(self.ssd, now, n_bytes)
         if done is None:
             self._tiers[item.tier].remove(item.session_id)
             source.admit(item)
@@ -957,28 +959,41 @@ class AttentionStore:
         """Whether the SSD tier is reachable (circuit breaker not open)."""
         return self.ssd_health is None or self.ssd_health.allows(now)
 
-    def _ssd_transfer(self, now: float, n_bytes: int) -> float | None:
-        """Issue one SSD transfer, absorbing injected transient faults.
+    def transfer(
+        self, link: Channel | ChannelPair, start: float, n_bytes: int
+    ) -> float | None:
+        """Carry ``n_bytes`` over ``link`` from ``start``: the one retry
+        loop of every KV move, PCIe loads and saves, disk loads, spills and
+        prefetches alike.
 
-        Retries with capped exponential backoff up to the configured
-        budget, feeding the SSD health breaker.  Returns the completion
-        time, or None when the transfer could not be completed (budget
-        exhausted or breaker open) — callers degrade instead of raising.
+        Without an injector this is a plain ``link.transfer``.  With one, a
+        link that carries the SSD (the SSD channel, or a pair whose first
+        hop it is) is refused while the breaker is open; every fault is
+        counted and retried with capped backoff up to the configured
+        budget.  Only a fault on the SSD channel feeds the breaker, and
+        only a success on a link that carries the SSD closes it.  Returns
+        the completion time, or None when the transfer could not be
+        completed (budget exhausted or breaker open) — callers degrade
+        instead of raising.
         """
         if self.faults is None:
-            return self.ssd.transfer(now, n_bytes)
-        if not self.ssd_available(now):
+            return link.transfer(start, n_bytes)
+        health = self.ssd_health
+        assert health is not None  # built with the injector
+        ssd = self.ssd
+        carries_ssd = link is ssd or (
+            isinstance(link, ChannelPair) and link.first is ssd
+        )
+        if carries_ssd and not health.allows(start):
             return None
         fc = self.faults.config
-        health = self.ssd_health
-        start = now
         attempt = 0
         while True:
             try:
-                done = self.ssd.transfer(start, n_bytes)
+                done = link.transfer(start, n_bytes)
             except FaultyTransfer as fault:
                 self.stats.transfer_faults += 1
-                if health is not None and health.record_failure(start):
+                if fault.channel == ssd.name and health.record_failure(start):
                     self.stats.breaker_trips += 1
                     return None
                 if attempt >= fc.max_retries:
@@ -987,7 +1002,7 @@ class AttentionStore:
                 self.stats.transfer_retries += 1
                 start = max(start, fault.busy_until) + fc.backoff(attempt)
                 continue
-            if health is not None and health.record_success():
+            if carries_ssd and health.record_success():
                 self.stats.breaker_recoveries += 1
             return done
 

@@ -69,7 +69,7 @@ class TestInertConfigIsBitIdentical:
         assert engine_a.ssd.bytes_moved == engine_b.ssd.bytes_moved
         assert engine_a.pcie_h2d.bytes_moved == engine_b.pcie_h2d.bytes_moved
         assert engine_a.pcie_d2h.bytes_moved == engine_b.pcie_d2h.bytes_moved
-        assert engine_b.faults is None  # inert config builds no injector
+        assert engine_b.store.faults is None  # inert config builds no injector
 
 
 class TestChaosCompletes:

@@ -35,8 +35,7 @@ def _random_record(rng: random.Random, global_turn: int) -> TurnRecord:
         new_tokens=rng.randrange(1, 500),
         reused_tokens=rng.randrange(0, 3500),
         generated_tokens=rng.randrange(1, 500),
-        ttft=ttft,
-        prefill_gpu_time=ttft * rng.uniform(0.5, 1.0),
+        prefill_gpu_time=ttft,
         decode_gpu_share=rng.uniform(0, 2),
         save_block_time=rng.uniform(0, 0.05),
         completion_time=arrival + rng.uniform(5, 60),
@@ -81,7 +80,7 @@ class TestStreamingCollector:
         rng = random.Random(5)
         records = [_random_record(rng, i) for i in range(3)]
         for record, ttft in zip(records, (1e16, 1.0, 1.0)):
-            record.ttft = ttft
+            record.prefill_gpu_time = ttft
         for streaming in (False, True):
             collector = MetricsCollector(streaming=streaming)
             collector.record_turns([dataclasses.replace(r) for r in records])

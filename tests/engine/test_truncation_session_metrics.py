@@ -123,13 +123,12 @@ class TestSessionState:
         s.record_turn_served(10, 20)
         s.record_truncation(15)
         assert s.history_tokens == 15
-        assert s.truncated_tokens_total == 15
-        assert s.overflow_events == 1
 
     def test_truncation_zero_is_noop(self):
         s = make_session()
+        s.record_turn_served(10, 20)
         s.record_truncation(0)
-        assert s.overflow_events == 0
+        assert s.history_tokens == 30
 
     def test_over_truncation_raises(self):
         s = make_session()
@@ -149,7 +148,6 @@ def make_record(gturn=0, outcome=TurnOutcome.HIT_DRAM, ttft=0.1, **kw):
         new_tokens=10,
         reused_tokens=90,
         generated_tokens=20,
-        ttft=ttft,
         prefill_gpu_time=ttft,
         completion_time=5.0,
     )
@@ -199,7 +197,7 @@ class TestMetrics:
 
     def test_prefill_throughput(self):
         m = MetricsCollector()
-        m.record_turn(make_record(0, prompt_tokens=1000, prefill_gpu_time=2.0, ttft=2.0))
+        m.record_turn(make_record(0, prompt_tokens=1000, ttft=2.0))
         assert m.summarise().prefill_throughput == 500.0
 
     def test_gpu_busy_accounting(self):

@@ -12,8 +12,6 @@ class TestFaultInjector:
         stream_b = [b.transfer_fails("ssd", 0.0) for _ in range(50)]
         stream_b += [b.corrupts_save() for _ in range(50)]
         assert stream_a == stream_b
-        assert a.injected_transfer_faults == b.injected_transfer_faults
-        assert a.injected_corruptions == b.injected_corruptions
 
     def test_different_seeds_diverge(self):
         base = dict(ssd_fault_rate=0.5)
@@ -38,9 +36,6 @@ class TestFaultInjector:
         assert injector.transfer_fails("ssd", 0.0)
         assert injector.corrupts_save()
         assert injector.loses_save()
-        assert injector.injected_transfer_faults == 1
-        assert injector.injected_corruptions == 1
-        assert injector.injected_losses == 1
 
     def test_per_channel_rates(self):
         injector = FaultInjector(FaultConfig(seed=3, ssd_fault_rate=1.0))
@@ -69,7 +64,6 @@ class TestTierHealth:
         assert not health.record_failure(1.0)
         assert health.record_failure(2.0)  # third consecutive: trips
         assert health.state is BreakerState.OPEN
-        assert health.trips == 1
         assert not health.allows(5.0)
 
     def test_success_resets_consecutive_count(self):
@@ -88,7 +82,7 @@ class TestTierHealth:
         assert health.state is BreakerState.HALF_OPEN
         assert health.record_success()
         assert health.state is BreakerState.CLOSED
-        assert health.recoveries == 1
+        assert not health.record_success()  # already closed: no recovery
         assert health.allows(11.0)
 
     def test_failed_probe_reopens(self):
@@ -97,6 +91,5 @@ class TestTierHealth:
         assert health.allows(10.0)
         assert health.record_failure(10.0)  # probe fails: re-trip
         assert health.state is BreakerState.OPEN
-        assert health.trips == 2
         assert not health.allows(15.0)
         assert health.allows(20.0)  # new cooldown from the re-trip
